@@ -18,6 +18,8 @@ from .quantizers import (
     ste_weight_passmask,
 )
 from .regularizers import (
+    activation_terms,
+    grid_terms,
     msqe_activations,
     msqe_weights,
     msqe_weights_grad,
@@ -25,9 +27,11 @@ from .regularizers import (
     partial_l2_grad,
     pow2_penalty,
     pow2_penalty_grad,
+    prune_masks,
     prune_threshold,
     scale_grad_activations,
     scale_grad_weights,
+    weight_terms,
 )
 from .nn import (
     Conv2d,
@@ -36,10 +40,9 @@ from .nn import (
     MaxPool2d,
     Network,
     ReLU,
-    finite_difference,
     softmax_xent,
 )
-from .models import build_lenet, clone_net, net_from_spec, net_spec
+from .models import build_lenet, net_from_spec, net_spec
 from .mnist import MnistSet, data_root, load_mnist
 from .training import (
     Adam,
@@ -57,14 +60,12 @@ from .training import (
     evaluate,
     grad_lambda,
     grad_log_lambda,
-    grad_weight,
     init_scales,
     load_checkpoint,
     quant_plan,
     save_checkpoint,
     snap_to_levels,
     train,
-    train_prune,
 )
 from .fixedpoint import (
     FixedPointModel,

@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -99,6 +100,9 @@ def _sha256(path):
     return h.hexdigest()
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def _write_manifest(outdir, cfg: ExperimentConfig, root):
     inputs = {}
     for p in sorted(Path(root).iterdir()):
@@ -111,6 +115,10 @@ def _write_manifest(outdir, cfg: ExperimentConfig, root):
             json.dumps(cfg.to_dict(), sort_keys=True).encode()
         ).hexdigest(),
         "inputs": inputs,
+        # trained bits repeat per BLAS thread setting, so record it
+        "numpy_version": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "blas_threads": {k: os.environ.get(k) for k in BLAS_THREAD_VARS},
     }
     with open(Path(outdir) / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)

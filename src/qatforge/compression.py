@@ -17,19 +17,22 @@ bit-exactly and the report's component accounting sums to the file size.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 import struct
 
 import numpy as np
 
 from . import quantizers as qz
+from .fixedpoint import _KIND_TAGS, _TAG_KINDS, FormatError, _Cursor
 
 MAGIC = b"QZIP"
 VERSION = 1
 GAP_CONT = 255  # continuation token of the gap alphabet
+MAX_WEIGHT_BITS = 8  # weight codes are i8 symbols of the code table
+MAX_LAYER_WEIGHTS = 1 << 26  # zeros are free, so the size fields alone bound a layer
 
-_KIND_TAGS = {"conv": 1, "fc": 2, "relu": 3, "maxpool": 4, "flatten": 5}
-_TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
+_GEOMETRY = {"conv": "<HHBBB", "fc": "<II", "maxpool": "<B"}
 
 
 # --- canonical Huffman ------------------------------------------------------
@@ -177,7 +180,10 @@ def _read_varint(buf, pos):
         z |= (byte & 0x7F) << shift
         shift += 7
         if not byte & 0x80:
-            return _unzigzag(z), pos
+            v = _unzigzag(z)
+            if not -(1 << 63) <= v < 1 << 63:
+                raise ValueError(f"varint outside the int64 range at offset {pos}")
+            return v, pos
         if shift > 70:
             raise ValueError(f"varint too long at offset {pos}")
 
@@ -202,6 +208,8 @@ class DecodedModel:
     act_bits: int
     input_scale: float
     layers: list = field(default_factory=list)
+    header_bytes: int = 0  # magic through the last topology entry
+    table_bytes: int = 0  # the two code tables
 
     @property
     def param_layers(self):
@@ -226,6 +234,13 @@ class DecodedModel:
             dst.W = src.codes.astype(np.float64) * src.weight_scale
             dst.b = src.bias_codes.astype(np.float64) * src.bias_step
         return net
+
+
+def _weight_shape(kind, geometry):
+    if kind == "conv":
+        in_ch, out_ch, k, _, _ = geometry
+        return (out_ch, in_ch, k, k)
+    return (geometry[1], geometry[0])
 
 
 def _gap_tokens(gap):
@@ -274,6 +289,13 @@ def encode_model(net, masks, scales, plan):
     if len(wbits) != 1:
         raise ValueError("all layers must share one weight bit-width")
     weight_bits = wbits.pop()
+    if not 1 <= weight_bits <= MAX_WEIGHT_BITS:
+        raise ValueError(
+            f"{weight_bits}-bit weights do not fit the 8-bit weight-code table "
+            f"of QZIP; it holds 1..{MAX_WEIGHT_BITS}-bit weights"
+        )
+    if any(code.size > MAX_LAYER_WEIGHTS for code, _, _, _ in entries):
+        raise ValueError(f"QZIP layers hold at most {MAX_LAYER_WEIGHTS} weights")
     abits = {plan[l].acts for l in range(len(entries)) if plan[l].acts is not None}
     if len(abits) > 1:
         raise ValueError("all quantized outputs must share one bit-width")
@@ -318,14 +340,9 @@ def encode_model(net, masks, scales, plan):
     pidx = 0
     for entry in net_spec(net):
         kind = entry[0]
-        tag = _KIND_TAGS["fc" if kind == "linear" else kind]
-        out += struct.pack("<B", tag)
-        if kind == "conv":
-            out += struct.pack("<HHBBB", *entry[1:])
-        elif kind == "linear":
-            out += struct.pack("<II", *entry[1:])
-        elif kind == "maxpool":
-            out += struct.pack("<B", entry[1])
+        name = "fc" if kind == "linear" else kind
+        out += struct.pack("<B", _KIND_TAGS[name])
+        out += struct.pack(_GEOMETRY.get(name, "<"), *entry[1:])
         if kind in ("conv", "linear"):
             code, bcode, d, step = entries[pidx]
             _, idx = per_layer[pidx]
@@ -368,97 +385,84 @@ def encode_model(net, masks, scales, plan):
 
 
 def decode_model(archive):
-    """Rebuild the exact codes, positions, scales and topology."""
-    buf = bytes(archive)
-    if buf[:4] != MAGIC:
-        raise ValueError(f"bad magic {buf[:4]!r}, expected {MAGIC!r}")
-    pos = 4
-    version, n_layers, weight_bits, act_bits, input_scale = struct.unpack_from(
-        "<HBBBd", buf, pos
-    )
-    pos += struct.calcsize("<HBBBd")
+    """Rebuild the exact codes, positions, scales and topology. Every
+    malformed archive raises ValueError; every count is checked against the
+    geometry before anything is allocated from it."""
+    cur = _Cursor(bytes(archive))
+    (magic,) = cur.take("<4s")
+    if magic != MAGIC:
+        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    version, n_layers, weight_bits, act_bits, input_scale = cur.take("<HBBBd")
     if version != VERSION:
-        raise ValueError(f"unsupported version {version}")
+        raise FormatError(f"unsupported version {version}")
+    if not 1 <= weight_bits <= MAX_WEIGHT_BITS:
+        raise FormatError(f"weight bit-width {weight_bits} outside 1..{MAX_WEIGHT_BITS}")
     model = DecodedModel(
         weight_bits=weight_bits, act_bits=act_bits, input_scale=input_scale
     )
     nnz_list = []
-    for _ in range(n_layers):
-        (tag,) = struct.unpack_from("<B", buf, pos)
-        pos += 1
+    for i in range(n_layers):
+        (tag,) = cur.take("<B")
         kind = _TAG_KINDS.get(tag)
         if kind is None:
-            raise ValueError(f"unknown layer kind tag {tag}")
-        if kind == "conv":
-            geo = struct.unpack_from("<HHBBB", buf, pos)
-            pos += 7
-        elif kind == "fc":
-            geo = struct.unpack_from("<II", buf, pos)
-            pos += 8
-        elif kind == "maxpool":
-            geo = struct.unpack_from("<B", buf, pos)
-            pos += 1
-        else:
-            geo = ()
-        layer = ArchiveLayer(kind=kind, geometry=tuple(int(g) for g in geo))
+            raise FormatError(f"unknown layer kind tag {tag}")
+        layer = ArchiveLayer(kind=kind, geometry=cur.take(_GEOMETRY.get(kind, "<")))
         if kind in ("conv", "fc"):
-            d, step, act_scale, nnz, n_bias = struct.unpack_from("<dddII", buf, pos)
-            pos += 32
+            d, step, act_scale, nnz, n_bias = cur.take("<dddII")
+            shape = _weight_shape(kind, layer.geometry)
+            size = math.prod(shape)
+            if not 1 <= size <= MAX_LAYER_WEIGHTS:
+                raise FormatError(f"layer {i}: {size} weights, outside 1..{MAX_LAYER_WEIGHTS}")
+            if n_bias != shape[0]:
+                raise FormatError(f"layer {i}: {n_bias} biases for {shape[0]} outputs")
+            if nnz > size:
+                raise FormatError(f"layer {i}: {nnz} nonzero codes in {size} weights")
             layer.weight_scale, layer.bias_step, layer.act_scale = d, step, act_scale
-            bias = np.empty(n_bias, dtype=np.int64)
-            for i in range(n_bias):
-                bias[i], pos = _read_varint(buf, pos)
-            layer.bias_codes = bias
+            bias = []
+            for _ in range(n_bias):
+                v, cur.pos = _read_varint(cur.buf, cur.pos)
+                bias.append(v)
+            layer.bias_codes = np.array(bias, dtype=np.int64)
             nnz_list.append(nnz)
         model.layers.append(layer)
+    model.header_bytes = cur.pos
 
     tables = []
     for fmt in ("<bB", "<BB"):
-        (n_sym,) = struct.unpack_from("<H", buf, pos)
-        pos += 2
+        (n_sym,) = cur.take("<H")
         lengths = {}
         for _ in range(n_sym):
-            sym, length = struct.unpack_from(fmt, buf, pos)
-            pos += 2
+            sym, length = cur.take(fmt)
             if length < 1 or length > 64:
-                raise ValueError(f"invalid code length {length}")
-            lengths[int(sym)] = int(length)
+                raise FormatError(f"invalid code length {length}")
+            lengths[sym] = length
         tables.append(canonical_from_lengths(lengths) if lengths else {})
+    model.table_bytes = cur.pos - model.header_bytes
     code_table, gap_table = tables
     for name, table in (("weight-code", code_table), ("gap", gap_table)):
         kraft = sum(2.0 ** -l for _, l in table.values())
         if table and kraft > 1.0 + 1e-12:
-            raise ValueError(f"{name} table violates the Kraft inequality")
+            raise FormatError(f"{name} table violates the Kraft inequality")
 
-    (payload_len,) = struct.unpack_from("<I", buf, pos)
-    pos += 4
-    payload = buf[pos : pos + payload_len]
+    (payload_len,) = cur.take("<I")
+    payload = cur.buf[cur.pos : cur.pos + payload_len]
     if len(payload) != payload_len:
-        raise ValueError(
+        raise FormatError(
             f"truncated payload: header says {payload_len} bytes, "
             f"{len(payload)} present"
         )
-    if pos + payload_len != len(buf):
-        raise ValueError(f"{len(buf) - pos - payload_len} trailing bytes")
+    if cur.pos + payload_len != len(cur.buf):
+        raise FormatError(f"{len(cur.buf) - cur.pos - payload_len} trailing bytes")
 
     reader = BitReader(payload)
     code_dec = _Decoder(code_table)
     gap_dec = _Decoder(gap_table)
-    li = 0
-    for layer in model.layers:
-        if layer.kind not in ("conv", "fc"):
-            continue
-        if layer.kind == "conv":
-            in_ch, out_ch, k, _, _ = layer.geometry
-            shape = (out_ch, in_ch, k, k)
-        else:
-            shape = (layer.geometry[1], layer.geometry[0])
-        flat = np.zeros(int(np.prod(shape)), dtype=np.int64)
-        nnz = nnz_list[li]
-        li += 1
+    half = 2 ** (weight_bits - 1)
+    lo, hi = (-1, 1) if weight_bits == 1 else (-half, half - 1)
+    for layer, nnz in zip(model.param_layers, nnz_list):
+        shape = _weight_shape(layer.kind, layer.geometry)
+        flat = np.zeros(math.prod(shape), dtype=np.int64)
         prev = -1
-        half = 2 ** (weight_bits - 1)
-        lo, hi = (-1, 1) if weight_bits == 1 else (-half, half - 1)
         for _ in range(nnz):
             gap = 0
             while True:
@@ -468,12 +472,12 @@ def decode_model(archive):
                     break
             i = prev + 1 + gap
             if i >= flat.size:
-                raise ValueError(
+                raise FormatError(
                     f"decoded position {i} outside layer of {flat.size} weights"
                 )
             sym = code_dec.read_symbol(reader)
             if sym == 0 or sym < lo or sym > hi:
-                raise ValueError(f"decoded weight code {sym} out of range")
+                raise FormatError(f"decoded weight code {sym} out of range")
             flat[i] = sym
             prev = i
         layer.codes = flat.reshape(shape)
@@ -523,33 +527,13 @@ def report(archive, float_weights):
     zeros_before = sum(int(np.sum(w == 0.0)) for w in float_weights)
     zeros_after = sum(int(np.sum(l.codes == 0)) for l in decoded.param_layers)
 
-    buf = bytes(archive)
-    header_end = 4 + struct.calcsize("<HBBBd")
-    for layer in decoded.layers:
-        header_end += 1
-        if layer.kind == "conv":
-            header_end += 7
-        elif layer.kind == "fc":
-            header_end += 8
-        elif layer.kind == "maxpool":
-            header_end += 1
-        if layer.kind in ("conv", "fc"):
-            header_end += 32
-            probe = header_end
-            for _ in range(layer.bias_codes.size):
-                _, probe = _read_varint(buf, probe)
-            header_end = probe
-    table_end = header_end
-    for _ in range(2):
-        (n_sym,) = struct.unpack_from("<H", buf, table_end)
-        table_end += 2 + 2 * n_sym
+    header, tables = decoded.header_bytes, decoded.table_bytes
     component_bits = {
-        "header": 8 * header_end,
-        "tables": 8 * (table_end - header_end),
-        "payload": 8 * (len(buf) - table_end),
+        "header": 8 * header,
+        "tables": 8 * tables,
+        "payload": 8 * (len(archive) - header - tables),
     }
-    compressed_bits = 8 * len(buf)
-    assert sum(component_bits.values()) == compressed_bits
+    compressed_bits = 8 * len(archive)
     return CompressionReport(
         original_bits=32 * n_weights,
         compressed_bits=compressed_bits,

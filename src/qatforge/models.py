@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .nn import Conv2d, Flatten, Linear, MaxPool2d, Network, ReLU
 
 
@@ -64,12 +62,3 @@ def net_from_spec(spec, rng=None):
         else:
             raise ValueError(f"unknown layer kind {kind!r}")
     return Network(layers)
-
-
-def clone_net(net):
-    """Structural copy with copied parameter arrays."""
-    out = net_from_spec(net_spec(net))
-    for src, dst in zip(net.param_layers, out.param_layers):
-        dst.W = np.array(src.W)
-        dst.b = np.array(src.b)
-    return out

@@ -252,24 +252,3 @@ def softmax_xent(logits, labels):
     dlogits[rows, labels] -= 1.0
     return loss, dlogits / n
 
-
-def finite_difference(f, x, h=1e-4):
-    """Central-difference gradient of scalar f at x, one element at a time.
-
-    x is copied; f is called with the perturbed copy.
-    """
-    if h <= 0:
-        raise ValueError("step must be positive")
-    x = np.array(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    xf = x.ravel()
-    gf = g.ravel()
-    for i in range(xf.size):
-        orig = xf[i]
-        xf[i] = orig + h
-        fp = f(x)
-        xf[i] = orig - h
-        fm = f(x)
-        xf[i] = orig
-        gf[i] = (fp - fm) / (2.0 * h)
-    return g

@@ -22,8 +22,8 @@ from .quantizers import (
     on_cell_boundary_unsigned,
     on_grid_midpoint,
     on_pow2_boundary,
-    round_half_away,
     round_pow2,
+    snap_to_grid,
 )
 
 
@@ -34,6 +34,53 @@ def _as_layer_list(value, num_layers):
     if len(value) != num_layers:
         raise ValueError(f"expected {num_layers} per-layer values, got {len(value)}")
     return value
+
+
+def weight_terms(w, code, delta, bits, lam, count):
+    """The MSQE terms of one weight layer, given its quantizer codes.
+
+    Returns (sum of (w - Q(w))^2, the pull (2*lam/N)(w - Q(w)) on each
+    weight, the scale gradient -(2*lam/N) * sum (w - Q(w)) * code). Both
+    gradients hold the code fixed and drop points on cell boundaries.
+    """
+    err = w - delta * code
+    keep = ~on_cell_boundary(w, delta, bits)
+    coeff = 2.0 * lam / count
+    scale_grad = -coeff * float(np.sum(err * code * keep))
+    return float(np.sum(err * err)), coeff * err * keep, scale_grad
+
+
+def grid_terms(values, snapped, step, lam, count):
+    """The MSQE terms of values on the unclipped grid of step (biases riding
+    the accumulator grid), given their snapped copies: (sum of squared
+    distances, the pull (2*lam/N)(v - snapped), zero at grid midpoints)."""
+    err = values - snapped
+    pull = (2.0 * lam / count) * err * ~on_grid_midpoint(values, step)
+    return float(np.sum(err * err)), pull
+
+
+def activation_terms(acts, delta, bits, zeta):
+    """The MSQE terms of one activation batch: (mean of (a - Q(a))^2, the
+    scale gradient -(2*zeta/|A|) * sum (a - Q(a)) * code), the code held
+    fixed and points on cell boundaries dropped."""
+    acts = np.asarray(acts, dtype=np.float64)
+    if acts.size == 0:
+        raise ValueError("empty activation set")
+    code = code_unsigned(acts, delta, bits)
+    err = acts - delta * code
+    keep = ~on_cell_boundary_unsigned(acts, delta, bits)
+    scale_grad = -(2.0 * zeta / acts.size) * float(np.sum(err * code * keep))
+    return float(np.mean(err * err)), scale_grad
+
+
+def _weight_terms(w, delta, bits, lam, count):
+    w = np.asarray(w, dtype=np.float64)
+    return weight_terms(w, code_signed(w, delta, bits), delta, bits, lam, count)
+
+
+def _grid_terms(values, step):
+    values = np.asarray(values, dtype=np.float64)
+    return grid_terms(values, snap_to_grid(values, step), step, 1.0, 1)
 
 
 def msqe_weights(weights, deltas, bits):
@@ -52,9 +99,8 @@ def msqe_weights(weights, deltas, bits):
     total = 0.0
     count = 0
     for w, d, b in zip(weights, deltas, bits):
-        err = w - d * code_signed(w, d, b)
-        total += float(np.sum(err * err))
-        count += w.size
+        total += _weight_terms(w, d, b, 1.0, 1)[0]
+        count += np.size(w)
     if count == 0:
         raise ValueError("no weights given")
     return total / count
@@ -62,54 +108,34 @@ def msqe_weights(weights, deltas, bits):
 
 def msqe_weights_grad(w, delta, bits, count):
     """(2/N)(w - Q(w)) away from cell boundaries, 0 on them."""
-    w = np.asarray(w, dtype=np.float64)
-    err = w - delta * code_signed(w, delta, bits)
-    return (2.0 / count) * err * ~on_cell_boundary(w, delta, bits)
+    return _weight_terms(w, delta, bits, 1.0, count)[1]
 
 
 def msqe_activations(acts, delta, bits):
     """Per-layer mean squared quantization error of an activation batch."""
-    acts = np.asarray(acts, dtype=np.float64)
-    if acts.size == 0:
-        raise ValueError("empty activation set")
-    err = acts - delta * code_unsigned(acts, delta, bits)
-    return float(np.mean(err * err))
+    return activation_terms(acts, delta, bits, 1.0)[0]
 
 
 def grid_msqe_sum(values, step):
     """Sum of squared distances to the nearest multiple of step (unclipped
     grid; used for biases riding the accumulator scale)."""
-    values = np.asarray(values, dtype=np.float64)
-    err = values - step * round_half_away(values / step)
-    return float(np.sum(err * err))
+    return _grid_terms(values, step)[0]
 
 
 def grid_msqe_grad(values, step):
     """d/dvalues of grid_msqe_sum, zero at grid midpoints."""
-    values = np.asarray(values, dtype=np.float64)
-    err = values - step * round_half_away(values / step)
-    return 2.0 * err * ~on_grid_midpoint(values, step)
+    return _grid_terms(values, step)[1]
 
 
 def scale_grad_weights(w, delta, bits, lam, count):
     """d/d(delta) of lam * (1/N) sum (w - delta*code)^2, code held fixed:
     -(2*lam/N) * sum (w - Q(w)) * code, boundary points excluded."""
-    w = np.asarray(w, dtype=np.float64)
-    code = code_signed(w, delta, bits)
-    err = w - delta * code
-    keep = ~on_cell_boundary(w, delta, bits)
-    return float(-(2.0 * lam / count) * np.sum(err * code * keep))
+    return _weight_terms(w, delta, bits, lam, count)[2]
 
 
 def scale_grad_activations(acts, delta, bits, zeta):
     """Unsigned analog of scale_grad_weights with the per-layer 1/|A| norm."""
-    acts = np.asarray(acts, dtype=np.float64)
-    if acts.size == 0:
-        raise ValueError("empty activation set")
-    code = code_unsigned(acts, delta, bits)
-    err = acts - delta * code
-    keep = ~on_cell_boundary_unsigned(acts, delta, bits)
-    return float(-(2.0 * zeta / acts.size) * np.sum(err * code * keep))
+    return activation_terms(acts, delta, bits, zeta)[1]
 
 
 def pow2_penalty(scales):
@@ -139,6 +165,19 @@ def prune_threshold(weights, ratio):
     mags = np.sort(np.concatenate([np.abs(np.asarray(w)).ravel() for w in weights]))
     k = math.ceil(ratio * mags.size)
     return 0.0 if k == 0 else float(mags[k - 1])
+
+
+def prune_masks(weights, ratio):
+    """Per-layer keep-masks that drop exactly ceil(ratio * N) of the pooled
+    weights, the k smallest magnitudes of prune_threshold. Ties go by
+    position (a stable rank), so ties at the threshold never prune more."""
+    if not 0.0 <= ratio < 1.0:
+        raise ValueError(f"prune ratio must lie in [0, 1), got {ratio}")
+    mags = np.concatenate([np.abs(np.asarray(w)).ravel() for w in weights])
+    keep = np.ones(mags.size, dtype=bool)
+    keep[np.argsort(mags, kind="stable")[: math.ceil(ratio * mags.size)]] = False
+    ends = np.cumsum([np.size(w) for w in weights])[:-1]
+    return [m.reshape(np.shape(w)) for w, m in zip(weights, np.split(keep, ends))]
 
 
 def partial_l2(weights, theta, count):

@@ -17,7 +17,8 @@ One engine covers the run types the experiments need:
 * ``prune``: magnitude pruning by partial L2. The threshold theta is the
   nearest-rank percentile of pooled |w|, recomputed every step; weights
   below it feel a decay pull with the same learned-lambda schedule. At the
-  end the sub-threshold weights are zeroed and masked.
+  end exactly ceil(ratio * N) weights, the smallest magnitudes, are zeroed
+  and masked.
 * ``prune_then_qat``: the two stages composed; the mask stays frozen through
   the QAT stage.
 
@@ -28,8 +29,10 @@ change the function being evaluated; it realizes the zero-MSQE endpoint the
 ramp drives toward. Pre-consolidation residuals are kept in
 TrainResult.diagnostics so a run that failed to converge cannot hide.
 
-All arithmetic is float64 and single-threaded deterministic: two runs with
-the same config and seed produce bit-identical results.
+All arithmetic is float64 and deterministic per BLAS thread setting: two
+runs with the same config, seed and BLAS thread count produce bit-identical
+results. A different thread count may change the order of a matrix
+product's sums, and with it the last bits of the trained weights.
 """
 
 from __future__ import annotations
@@ -151,6 +154,16 @@ class RegState:
     @property
     def gamma_a(self):
         return float(np.exp(self.log_gamma_a))
+
+    def cost(self, task, r_value, s_value, t_w=None, t_a=None):
+        """E + lam*R - alpha*log(lam) + zeta*S, plus gamma*T - beta*log(gamma)
+        for each power-of-two penalty T given."""
+        cost = task + self.lam * r_value - self.alpha * self.log_lam + self.zeta * s_value
+        if t_w is not None:
+            cost += self.gamma_w * t_w - self.beta_w * self.log_gamma_w
+        if t_a is not None:
+            cost += self.gamma_a * t_a - self.beta_a * self.log_gamma_a
+        return cost
 
 
 @dataclass(frozen=True)
@@ -296,12 +309,6 @@ class TrainResult:
 # --- closed-form update rules ----------------------------------------------
 
 
-def grad_weight(w, delta, bits, lam, count, task_grad):
-    """Total weight gradient: STE-routed task gradient plus the MSQE pull
-    lam * (2/N)(w - Q(w)) away from cell boundaries."""
-    return task_grad + lam * rg.msqe_weights_grad(w, delta, bits, count)
-
-
 def grad_lambda(reg_value, alpha, lam):
     """dC/dlam for C = lam*reg - alpha*log(lam); zero at lam = alpha/reg."""
     if lam <= 0:
@@ -360,8 +367,8 @@ def _model_msqe(net, plan, scales):
         if bits is None:
             continue
         d = float(scales.weight_scales[l])
-        err = layer.W - d * qz.code_signed(layer.W, d, bits)
-        total += float(np.sum(err * err))
+        code = qz.code_signed(layer.W, d, bits)
+        total += rg.weight_terms(layer.W, code, d, bits, 1.0, 1)[0]
         total += rg.grid_msqe_sum(layer.b, bias_grid_step(plan, scales, l))
         count += layer.W.size + layer.b.size
     if count == 0:
@@ -369,50 +376,55 @@ def _model_msqe(net, plan, scales):
     return total / count, count
 
 
-def cost_qat(net, images, labels, scales, reg: RegState, plan):
-    """Assembled cost of one batch under quantized forward:
-    E + lam*R - alpha*log(lam) + zeta * sum of per-layer activation MSQEs.
-    Returns (cost, components)."""
+def _pow2_terms(scales, plan):
+    """(T_w, T_a): the power-of-two penalties of the quantized weight and
+    activation scales; T_w is 0.0 without quantized weights and T_a is None
+    without quantized activations."""
+    widx = [l for l, p in enumerate(plan) if p.weights is not None]
+    aidx = [l for l, p in enumerate(plan) if p.acts is not None]
+    t_w = rg.pow2_penalty(scales.weight_scales[widx]) if widx else 0.0
+    t_a = rg.pow2_penalty(scales.act_scales[aidx]) if aidx else None
+    return t_w, t_a
+
+
+def _cost(net, images, labels, scales, reg: RegState, plan, pow2):
     tap = QuantTap(plan, scales)
     logits = net.forward(images, tap)
     task, _ = softmax_xent(logits, labels)
     r_value, _ = _model_msqe(net, plan, scales)
-    s_values = {}
-    for l, p in enumerate(plan):
-        if p.acts is not None and tap.pre_acts[l] is not None:
-            s_values[l] = rg.msqe_activations(
-                tap.pre_acts[l], float(scales.act_scales[l]), p.acts
-            )
-    cost = (
-        task
-        + reg.lam * r_value
-        - reg.alpha * reg.log_lam
-        + reg.zeta * sum(s_values.values())
-    )
+    s_values = {
+        l: rg.msqe_activations(tap.pre_acts[l], float(scales.act_scales[l]), p.acts)
+        for l, p in enumerate(plan)
+        if p.acts is not None and tap.pre_acts[l] is not None
+    }
     components = {
         "task": task,
         "weight_msqe": r_value,
         "act_msqe": s_values,
         "lam_log_term": -reg.alpha * reg.log_lam,
     }
+    t_w = t_a = None
+    if pow2:
+        t_w, t_a = _pow2_terms(scales, plan)
+        components["pow2_w"] = t_w
+        if t_a is not None:
+            components["pow2_a"] = t_a
+    cost = reg.cost(task, r_value, sum(s_values.values()), t_w, t_a)
     if not np.isfinite(cost):
         raise RuntimeError(f"non-finite cost: {components}")
     return cost, components
 
 
+def cost_qat(net, images, labels, scales, reg: RegState, plan):
+    """Assembled cost of one batch under quantized forward:
+    E + lam*R - alpha*log(lam) + zeta * sum of per-layer activation MSQEs.
+    Returns (cost, components)."""
+    return _cost(net, images, labels, scales, reg, plan, pow2=False)
+
+
 def cost_pow2(net, images, labels, scales, reg: RegState, plan):
     """cost_qat plus the power-of-two scale penalties and their log terms."""
-    cost, components = cost_qat(net, images, labels, scales, reg, plan)
-    widx = [l for l, p in enumerate(plan) if p.weights is not None]
-    aidx = [l for l, p in enumerate(plan) if p.acts is not None]
-    t_w = rg.pow2_penalty(scales.weight_scales[widx]) if widx else 0.0
-    components["pow2_w"] = t_w
-    cost += reg.gamma_w * t_w - reg.beta_w * reg.log_gamma_w
-    if aidx:
-        t_a = rg.pow2_penalty(scales.act_scales[aidx])
-        components["pow2_a"] = t_a
-        cost += reg.gamma_a * t_a - reg.beta_a * reg.log_gamma_a
-    return cost, components
+    return _cost(net, images, labels, scales, reg, plan, pow2=True)
 
 
 def evaluate(net, images, labels, input_scale, tap=None, batch=1000):
@@ -542,32 +554,23 @@ def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
                 bits = plan[l].weights
                 if bits is not None:
                     d = float(scales.weight_scales[l])
-                    gW = gW * qz.ste_weight_passmask(layer.W, d, bits)
-                    err_w = layer.W - tap.wq[l]
-                    keep = ~qz.on_cell_boundary(layer.W, d, bits)
-                    gW = gW + (2.0 * lam / n_reg) * err_w * keep
-                    step = bias_grid_step(plan, scales, l)
-                    err_b = layer.b - tap.bq[l]
-                    gb = gb + (2.0 * lam / n_reg) * err_b * ~qz.on_grid_midpoint(
-                        layer.b, step
+                    w_sq, w_pull, gd[l] = rg.weight_terms(
+                        layer.W, tap.wcode[l], d, bits, lam, n_reg
                     )
-                    r_sum += float(np.sum(err_w * err_w)) + float(np.sum(err_b * err_b))
-                    gd[l] = -(2.0 * lam / n_reg) * float(
-                        np.sum(err_w * tap.wcode[l] * keep)
+                    b_sq, b_pull = rg.grid_terms(
+                        layer.b, tap.bq[l], bias_grid_step(plan, scales, l), lam, n_reg
                     )
+                    gW = gW * qz.ste_weight_passmask(layer.W, d, bits) + w_pull
+                    gb = gb + b_pull
+                    r_sum += w_sq + b_sq
                     if pow2:
                         gd[l] += float(rg.pow2_penalty_grad(d, reg.gamma_w, len(widx)))
                 if plan[l].acts is not None:
-                    pre = tap.pre_acts[l]
                     dd = float(scales.act_scales[l])
-                    m = plan[l].acts
-                    code = qz.code_unsigned(pre, dd, m)
-                    err_a = pre - dd * code
-                    keep_a = ~qz.on_cell_boundary_unsigned(pre, dd, m)
-                    s_total += float(np.mean(err_a * err_a))
-                    ga[l] = -(2.0 * reg.zeta / pre.size) * float(
-                        np.sum(err_a * code * keep_a)
+                    s_l, ga[l] = rg.activation_terms(
+                        tap.pre_acts[l], dd, plan[l].acts, reg.zeta
                     )
+                    s_total += s_l
                     if pow2:
                         ga[l] += float(rg.pow2_penalty_grad(dd, reg.gamma_a, len(aidx)))
                 if masks is not None:
@@ -595,28 +598,27 @@ def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
                     scales.act_scales = np.maximum(
                         scales.act_scales + adam_as.step(ga, lr_s), SCALE_FLOOR
                     )
+                # the gamma gradients see the updated scales; the logged cost
+                # takes them with the coefficients of this step, before update
+                t_w, t_a = _pow2_terms(scales, plan) if pow2 else (None, None)
+                cost = reg.cost(task, r_value, s_total, t_w, t_a)
                 g_om = grad_log_lambda(r_value, reg.alpha, lam)
                 reg.log_lam = min(
                     reg.log_lam + float(adam_om.step(g_om, lr_om)), LOG_COEFF_CAP
                 )
-                cost = task + lam * r_value - reg.alpha * np.log(lam) + reg.zeta * s_total
                 if pow2:
-                    t_w = rg.pow2_penalty(scales.weight_scales[widx]) if widx else 0.0
                     g_gw = reg.gamma_w * t_w - reg.beta_w
                     reg.log_gamma_w = min(
                         reg.log_gamma_w + float(adam_gw.step(g_gw, lr_g)), LOG_COEFF_CAP
                     )
-                    cost += reg.gamma_w * t_w - reg.beta_w * reg.log_gamma_w
                     row["pow2_w"] = t_w
                     row["gamma_w"] = reg.gamma_w
-                    if aidx:
-                        t_a = rg.pow2_penalty(scales.act_scales[aidx])
+                    if t_a is not None:
                         g_ga = reg.gamma_a * t_a - reg.beta_a
                         reg.log_gamma_a = min(
                             reg.log_gamma_a + float(adam_ga.step(g_ga, lr_g)),
                             LOG_COEFF_CAP,
                         )
-                        cost += reg.gamma_a * t_a - reg.beta_a * reg.log_gamma_a
                         row["pow2_a"] = t_a
                         row["gamma_a"] = reg.gamma_a
             row["cost"] = cost
@@ -743,12 +745,11 @@ def _run_prune(net, data, cfg: TrainConfig, log_prefix=""):
             flush=True,
         )
 
-    theta = rg.prune_threshold([layer.W for layer in params], cfg.prune_ratio)
-    masks = []
-    for layer in params:
-        keep = np.abs(layer.W) >= theta
+    weights = [layer.W for layer in params]
+    theta = rg.prune_threshold(weights, cfg.prune_ratio)
+    masks = rg.prune_masks(weights, cfg.prune_ratio)
+    for layer, keep in zip(params, masks):
         layer.W[~keep] = 0.0
-        masks.append(keep)
     final_acc = evaluate(net, test_x, test_y, input_scale, None, cfg.eval_batch)
     pruned = sum(int((~k).sum()) for k in masks)
     diagnostics = {
@@ -787,12 +788,6 @@ def train(net, data, cfg: TrainConfig, masks=None):
         )
         return res2
     return _run_core(net, data, cfg, masks=masks)
-
-
-def train_prune(net, data, cfg: TrainConfig):
-    """Pruning stage alone; returns (TrainResult, keep-masks)."""
-    res = train(net, data, replace(cfg, mode="prune"))
-    return res, res.prune_mask
 
 
 # --- checkpoints ------------------------------------------------------------

@@ -8,6 +8,7 @@ compress -> eval/infer).
 """
 
 import json
+import os
 import re
 import struct
 
@@ -88,6 +89,11 @@ def test_train_artifacts(float_run, capsys):
     for digest in manifest["inputs"].values():
         assert re.fullmatch(r"[0-9a-f]{64}", digest)
     assert manifest["seed"] == 0
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["cpu_count"] == os.cpu_count()
+    assert manifest["blas_threads"] == {
+        name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    }
 
     cfg = ExperimentConfig.from_dict(
         json.loads((float_run / "config.json").read_text())

@@ -8,7 +8,7 @@ import oracles
 from qatforge import compression as cz
 from qatforge import quantizers as qz
 from qatforge.models import net_from_spec
-from qatforge.training import LayerBits, ScaleState
+from qatforge.training import LayerBits, ScaleState, bias_grid_step
 
 
 def _avg_length(table, counts):
@@ -298,6 +298,45 @@ def test_decode_rejects_malformed():
         cz.decode_model(blob + b"\x00")
     with pytest.raises(ValueError, match="truncated|exhausted"):
         cz.decode_model(blob[:-1])
+
+    # every prefix, and four byte values at every header and table offset, of
+    # a conv+fc archive: a reader raises ValueError and nothing else
+    blob, meta = _conv_fc_archive()
+    for n in range(len(blob)):
+        with pytest.raises(ValueError):
+            cz.decode_model(blob[:n])
+    for offset in range(meta["header_bytes"] + meta["table_bytes"]):
+        for byte in (0x00, 0x7F, 0x80, 0xFF):
+            bad = bytearray(blob)
+            bad[offset] = byte
+            try:
+                cz.decode_model(bytes(bad))
+            except ValueError:
+                pass
+    # a varint past the int64 range
+    with pytest.raises(ValueError, match="int64"):
+        cz._read_varint(bytes([0xFF] * 9 + [0x7F]), 0)
+
+
+def _conv_fc_archive():
+    rng = np.random.default_rng(21)
+    net = net_from_spec(
+        [["conv", 1, 3, 3, 1, 0], ["relu"], ["maxpool", 2], ["flatten"], ["linear", 27, 4]]
+    )
+    plan = [LayerBits(4, 4), LayerBits(4, None)]
+    scales = ScaleState(np.array([0.25, 0.25]), np.array([0.125, 0.125]), 1 / 255)
+    for l, layer in enumerate(net.param_layers):
+        layer.W = 0.25 * _random_codes(rng, layer.W.shape, 4, 0.5).astype(np.float64)
+        step = bias_grid_step(plan, scales, l)
+        layer.b = step * rng.integers(-300, 300, layer.b.shape).astype(np.float64)
+    return cz.encode_model(net, None, scales, plan)
+
+
+def test_encode_refuses_weights_wider_than_8_bits():
+    rng = np.random.default_rng(9)
+    net, scales, plan = _model_from_codes([_random_codes(rng, (4, 4), 12, 0.0)], 0.0005, 12)
+    with pytest.raises(ValueError, match="8-bit weight-code table"):
+        cz.encode_model(net, None, scales, plan)
 
 
 def test_encode_requires_uniform_bit_width():

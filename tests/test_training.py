@@ -1,11 +1,14 @@
 """Training mechanics on small synthetic data: bit plans, update rules,
 determinism, stage composition, and checkpoints."""
 
+import math
+
 import numpy as np
 import pytest
 
 import qatforge as qf
 from qatforge import quantizers as qz
+from qatforge import regularizers as rg
 from qatforge import training as tr
 from qatforge.models import net_from_spec
 
@@ -227,16 +230,26 @@ def test_prune_stage_masks_to_ratio():
     res = tr.train(net, data, cfg)
     n_w = sum(l.W.size for l in net.param_layers)
     pruned = sum(int((~m).sum()) for m in res.prune_mask)
-    # strictly-below-theta weights go: the threshold element itself survives,
-    # so the fraction can sit one element under the ratio
-    assert pruned / n_w >= 0.9 - 1.0 / n_w
-    assert pruned / n_w <= 0.9 + 0.05
+    assert pruned == math.ceil(0.9 * n_w)
     assert abs(pruned / n_w - res.diagnostics["pruned_fraction"]) < 1e-12
     for layer, keep in zip(net.param_layers, res.prune_mask):
         assert np.all(layer.W[~keep] == 0.0)
     assert res.diagnostics["theta_final"] > 0
     assert "prune_l2" in res.log.rows[0]
     assert np.all(res.log.column("theta") >= 0)
+
+
+def test_prune_masks_break_ties_by_position():
+    layers = [np.array([0.5, -0.5, 2.0]), np.array([[0.5, -3.0], [0.5, 1.0]])]
+    # four weights tie at |w| = 0.5; ceil(0.5 * 7) = 4 go, the first four ties
+    masks = rg.prune_masks(layers, 0.5)
+    assert [m.shape for m in masks] == [(3,), (2, 2)]
+    assert masks[0].tolist() == [False, False, True]
+    assert masks[1].tolist() == [[False, True], [False, True]]
+    assert sum(int((~m).sum()) for m in masks) == 4
+    assert all(m.all() for m in rg.prune_masks(layers, 0.0))
+    with pytest.raises(ValueError):
+        rg.prune_masks(layers, 1.0)
 
 
 def test_prune_then_qat_composition():
@@ -279,6 +292,20 @@ def test_cost_functions():
     net.param_layers[0].W[:] = np.inf
     with pytest.raises(RuntimeError, match="non-finite"):
         tr.cost_qat(net, x, y, scales, reg, plan)
+
+
+def test_logged_cost_uses_the_coefficients_of_its_step():
+    rng = np.random.default_rng(11)
+    data = _toy_data(rng, n_train=64, n_test=32)
+    net = _conv_net(np.random.default_rng(18))
+    cfg = _cfg(mode="qat_pow2", epochs=1, lr=1e-2)
+    row = tr.train(net, data, cfg).log.rows[0]
+    # the first step runs at log(lam) = log(gamma) = 0; the logged gamma is
+    # the one after the step's update
+    reg0 = tr.RegState(alpha=cfg.alpha, zeta=cfg.zeta, beta_w=cfg.beta_w, beta_a=cfg.beta_a)
+    terms = [row[k] for k in ("task", "weight_msqe", "act_msqe", "pow2_w", "pow2_a")]
+    assert row["cost"] == reg0.cost(*terms)
+    assert row["gamma_w"] != 1.0 and row["gamma_a"] != 1.0
 
 
 def test_evaluate_counts_correct_predictions():
