@@ -1,11 +1,12 @@
 """Follow one image through the integer-only engine, layer by layer.
 
 Everything after the input is integer arithmetic: weights and activations
-are small codes, convolutions accumulate in 64-bit (statically proven to fit
-32), and each junction requantizes with one multiplier. The trace prints the
-code ranges and accumulator extremes at every step, then checks the integer
-argmax against the float simulation of the same quantized network on the
-whole test set.
+are small codes, each layer's multiply-accumulate is exact (statically
+proven to fit 32 bits, and run as a float32 or float64 GEMM only where the
+same bound proves that exact), and each junction requantizes with one
+multiplier. The trace prints the accumulate type, the code ranges and the
+accumulator extremes at every step, then checks the integer argmax against
+the float simulation of the same quantized network on the whole test set.
 
 Needs a quantized checkpoint; run 04_qat_4bit.py first (or pass --ckpt).
 """
@@ -36,41 +37,44 @@ def main():
     print(f"input codes {x.min()}..{x.max()} "
           f"(scale {model.input_scale:.6f})")
 
-    # replay the engine's own steps to expose the intermediate integers
+    # replay the engine's own steps to expose the intermediate integers; the
+    # engine keeps maps NHWC, and pools before it requantizes, which gives
+    # the same codes because the rescale is monotone
+    x, bits = x.transpose(0, 2, 3, 1), model.input_bits
     for i, layer in enumerate(model.layers):
-        if layer.kind == "conv":
-            acc = fx._conv_int(x, layer)
-        elif layer.kind == "fc":
-            acc = x.reshape(x.shape[0], -1) @ layer.weight_codes.T \
-                + layer.bias_codes
+        if layer.kind in ("conv", "fc"):
+            dtype = fx._acc_dtype(fx.accumulator_bound(layer, bits))
+            if layer.kind == "conv":
+                acc = fx._conv_int(x, layer, dtype)
+            else:
+                acc = fx._gemm(x, layer.weight_codes, layer.bias_codes, dtype)
+            head = (f"  {i}: {layer.kind:4} {np.dtype(dtype).name:7} acc "
+                    f"{acc.min():>9.0f}..{acc.max():<9.0f}")
+            if layer.act_bits:
+                x, bits = fx._requant_mult(acc, layer), layer.act_bits
+                print(f"{head} -> requant codes {x.min():.0f}..{x.max():.0f}")
+            else:
+                print(f"{head} (final, scale {layer.logit_scale:.2e})")
+                logits = acc
         elif layer.kind == "maxpool":
             x = fx._pool_int(x, layer.size)
-            print(f"  {i}: maxpool      -> codes {x.min()}..{x.max()}")
-            continue
-        else:
-            x = x.reshape(x.shape[0], -1) if layer.kind == "flatten" else x
-            continue
-        if layer.act_bits:
-            x = fx._requant_mult(acc, layer)
-            print(f"  {i}: {layer.kind:4} acc {acc.min():>9}..{acc.max():<9} "
-                  f"-> requant codes {x.min()}..{x.max()}")
-        else:
-            print(f"  {i}: {layer.kind:4} acc {acc.min():>9}..{acc.max():<9} "
-                  f"(final, scale {layer.logit_scale:.2e})")
-            logits = acc
+            print(f"  {i}: maxpool              -> codes {x.min():.0f}..{x.max():.0f}")
+        elif layer.kind == "flatten":
+            x = fx._flatten_int(x)
 
     pred = int(np.argmax(logits))
     ref = qf.simulate_float(model, image)
     print(f"\npredicted {pred}, float simulation says {int(np.argmax(ref))}")
 
     preds = fx.predict(model, data.test_images)
+    n = len(data.test_images)
     sim = np.concatenate([
         np.argmax(qf.simulate_float(model, data.test_images[i:i + 1000]), axis=1)
-        for i in range(0, 10000, 1000)
+        for i in range(0, n, 1000)
     ])
     labels = data.test_labels.astype(np.int64)
     print(f"test set: integer engine {np.mean(preds == labels):.4f}, "
-          f"agrees with float simulation on {int(np.sum(preds == sim))}/10000")
+          f"agrees with float simulation on {int(np.sum(preds == sim))}/{n}")
 
 
 if __name__ == "__main__":

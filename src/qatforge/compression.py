@@ -24,7 +24,7 @@ import struct
 import numpy as np
 
 from . import quantizers as qz
-from .fixedpoint import _KIND_TAGS, _TAG_KINDS, FormatError, _Cursor
+from .fixedpoint import _KIND_TAGS, _TAG_KINDS, FormatError, _bad_scale, _Cursor
 
 MAGIC = b"QZIP"
 VERSION = 1
@@ -387,7 +387,8 @@ def encode_model(net, masks, scales, plan):
 def decode_model(archive):
     """Rebuild the exact codes, positions, scales and topology. Every
     malformed archive raises ValueError; every count is checked against the
-    geometry before anything is allocated from it."""
+    geometry before anything is allocated from it, and every scale must be
+    positive and finite (act_scale may also be 0, for no requantization)."""
     cur = _Cursor(bytes(archive))
     (magic,) = cur.take("<4s")
     if magic != MAGIC:
@@ -397,6 +398,8 @@ def decode_model(archive):
         raise FormatError(f"unsupported version {version}")
     if not 1 <= weight_bits <= MAX_WEIGHT_BITS:
         raise FormatError(f"weight bit-width {weight_bits} outside 1..{MAX_WEIGHT_BITS}")
+    if _bad_scale(input_scale):
+        raise FormatError(f"input scale {input_scale!r} is not positive and finite")
     model = DecodedModel(
         weight_bits=weight_bits, act_bits=act_bits, input_scale=input_scale
     )
@@ -417,6 +420,9 @@ def decode_model(archive):
                 raise FormatError(f"layer {i}: {n_bias} biases for {shape[0]} outputs")
             if nnz > size:
                 raise FormatError(f"layer {i}: {nnz} nonzero codes in {size} weights")
+            # act_scale 0.0 marks an output that is not requantized
+            if any(_bad_scale(v) for v in (d, step, act_scale or 1.0)):
+                raise FormatError(f"layer {i}: a scale is not positive and finite")
             layer.weight_scale, layer.bias_step, layer.act_scale = d, step, act_scale
             bias = []
             for _ in range(n_bias):

@@ -9,11 +9,14 @@ feed the next layer. The final layer skips requantization and emits real
 logits scaled by delta*Delta_in. When every scale is a power of two the
 rescale collapses to an arithmetic shift (infer_shift).
 
-The accumulator contract is 32-bit signed: conversion statically checks
-fan_in * 2^(n-1) * (2^m - 1) + |bias| against 2^31 - 1 per layer, and
-infer(debug=True) re-checks the realized accumulators. Internally numpy
-int64 is used, so the check is about the declared width, not about numpy
-overflowing.
+The accumulator contract is 32-bit signed: accumulator_bound gives
+fan_in * 2^(n-1) * (2^m - 1) + max|bias| per layer, convert and load_model
+refuse a layer whose bound exceeds 2^31 - 1, and infer(debug=True)
+re-checks the realized accumulators. The multiply-accumulate is exact
+integer arithmetic, carried out in any arithmetic the bound proves exact:
+every partial sum is an integer no larger than the bound, so a float32 GEMM
+is exact below 2^24 and a float64 GEMM below 2^53, and both run on BLAS.
+int64 is left for wider hand-built layers.
 
 simulate_float evaluates the same network in real arithmetic with the
 quantizers applied, mirroring the training-time quantized forward; it is the
@@ -22,13 +25,14 @@ equivalence oracle for infer.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import quantizers as qz
-from .nn import _im2col
 
 INT32_MAX = 2**31 - 1
 MAGIC = b"FXPM"
@@ -167,16 +171,7 @@ def convert(net, scales, plan_or_spec):
         input_scale=float(scales.input_scale), input_bits=input_bits
     )
     pidx = 0
-    in_scales = {}
-    act_bits_in = {}
-    for l in range(len(params)):
-        if l == 0:
-            in_scales[l] = float(scales.input_scale)
-            act_bits_in[l] = input_bits
-        else:
-            in_scales[l] = float(scales.act_scales[l - 1])
-            act_bits_in[l] = plan[l - 1].acts
-
+    din, m_in = float(scales.input_scale), input_bits  # the next layer's input
     shift_ok = True
     for entry in net_spec(net):
         kind = entry[0]
@@ -197,29 +192,11 @@ def convert(net, scales, plan_or_spec):
             if not np.array_equal(codes * d, np.asarray(wq)):
                 raise ValueError(f"layer {pidx}: codes do not reproduce levels")
             step = bias_grid_step(plan, scales, pidx)
-            bias = np.asarray(
-                qz.round_half_away(layer.b / step), dtype=np.int64
-            )
+            bias = np.asarray(qz.round_half_away(layer.b / step), dtype=np.int64)
             if not np.array_equal(bias * step, np.asarray(qz.snap_to_grid(layer.b, step))):
                 raise ValueError(f"layer {pidx}: bias codes do not reproduce grid")
             if bias.size and np.abs(bias).max() > INT32_MAX:
                 raise ValueError(f"layer {pidx}: bias codes exceed 32-bit range")
-
-            fan_in = (
-                layer.in_ch * layer.ksize * layer.ksize
-                if kind == "conv"
-                else layer.in_features
-            )
-            m_in = act_bits_in[pidx]
-            bound = fan_in * 2 ** (n - 1) * (2**m_in - 1)
-            bound += int(np.abs(bias).max()) if bias.size else 0
-            if bound > INT32_MAX:
-                raise ValueError(
-                    f"layer {pidx}: worst-case accumulator {bound} exceeds "
-                    f"32-bit range {INT32_MAX}"
-                )
-
-            din = in_scales[pidx]
             dout = float(scales.act_scales[pidx]) if m is not None else 0.0
             fx = FxLayer(
                 kind="conv" if kind == "conv" else "fc",
@@ -236,20 +213,21 @@ def convert(net, scales, plan_or_spec):
                 fx.stride, fx.pad = layer.stride, layer.pad
             else:
                 fx.in_features, fx.out_features = layer.in_features, layer.out_features
+            bound = accumulator_bound(fx, m_in)
+            if bound > INT32_MAX:
+                raise ValueError(
+                    f"layer {pidx}: worst-case accumulator {bound} exceeds "
+                    f"32-bit range {INT32_MAX}"
+                )
             mult = fx.multiplier if m is not None else fx.logit_scale
-            s = _shift_exponent(mult)
-            if s is None:
-                shift_ok = False
-            else:
-                fx.shift = s
+            fx.shift = _shift_exponent(mult)
+            shift_ok = shift_ok and fx.shift is not None
             model.layers.append(fx)
             pidx += 1
-        elif kind == "maxpool":
-            model.layers.append(FxLayer(kind="maxpool", size=entry[1]))
-        elif kind == "relu":
-            model.layers.append(FxLayer(kind="relu"))
-        elif kind == "flatten":
-            model.layers.append(FxLayer(kind="flatten"))
+            din, m_in = dout, m
+        elif kind in ("maxpool", "relu", "flatten"):
+            size = entry[1] if kind == "maxpool" else 0
+            model.layers.append(FxLayer(kind=kind, size=size))
         else:
             raise ValueError(f"cannot convert layer kind {kind!r}")
     model.shift_only = shift_ok
@@ -259,80 +237,136 @@ def convert(net, scales, plan_or_spec):
     return model
 
 
-def _conv_int(x, fx: FxLayer):
-    n = x.shape[0]
-    if fx.pad:
-        x = np.pad(x, ((0, 0), (0, 0), (fx.pad, fx.pad), (fx.pad, fx.pad)))
-    cols, ho, wo = _im2col(x, fx.ksize, fx.ksize, fx.stride)
-    wf = fx.weight_codes.reshape(fx.out_ch, -1)
-    out = cols @ wf.T + fx.bias_codes
-    return out.reshape(n, ho, wo, fx.out_ch).transpose(0, 3, 1, 2)
+def accumulator_bound(fx: FxLayer, in_bits):
+    """fan_in * 2^(n-1) * (2^m_in - 1) + max|bias|: the largest magnitude any
+    partial sum of the layer's multiply-accumulate can reach, in any order,
+    when its inputs are m_in-bit codes."""
+    fan_in = fx.in_ch * fx.ksize**2 if fx.kind == "conv" else fx.in_features
+    bias = int(np.abs(fx.bias_codes).max()) if fx.bias_codes.size else 0
+    return fan_in * 2 ** (fx.weight_bits - 1) * (2**in_bits - 1) + bias
+
+
+def _acc_dtype(bound):
+    """The cheapest dtype the bound proves exact: float32 holds every integer
+    below 2^24, float64 every integer below 2^53."""
+    return np.float32 if bound < 2**24 else np.float64 if bound < 2**53 else np.int64
+
+
+def _gemm(x, w, bias, dtype):
+    """x @ w.T + bias, all in dtype: the one multiply-accumulate of the
+    engine (BLAS for the float types, numpy's loop for int64)."""
+    acc = x.astype(dtype, copy=False) @ w.reshape(len(bias), -1).T.astype(dtype)
+    acc += bias.astype(dtype)
+    return acc
+
+
+def _conv_int(x, fx: FxLayer, dtype):
+    """Accumulator of a conv layer on an NHWC map, as an NHWC map. Columns
+    run over (kh, kw, c), the weights are permuted to match, and an exact
+    sum does not depend on the order."""
+    p, k, st = fx.pad, fx.ksize, fx.stride
+    x = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0))) if p else x
+    win = sliding_window_view(np.ascontiguousarray(x, dtype=dtype), (k, k), axis=(1, 2))
+    win = win[:, ::st, ::st].transpose(0, 1, 2, 4, 5, 3)
+    n, ho, wo = win.shape[:3]
+    w = fx.weight_codes.transpose(0, 2, 3, 1)
+    acc = _gemm(win.reshape(n * ho * wo, -1), w, fx.bias_codes, dtype)
+    return acc.reshape(n, ho, wo, -1)
 
 
 def _pool_int(x, size):
-    n, c, h, w = x.shape
+    """Max-pool of an NHWC map: the running maximum of size^2 strided views."""
+    n, h, w, c = x.shape
     if h % size or w % size:
         raise ValueError("pool size must divide the spatial dims")
-    return x.reshape(n, c, h // size, size, w // size, size).max(axis=(3, 5))
+    v = x.reshape(n, h // size, size, w // size, size, c)
+    out = v[:, :, 0, :, 0].copy()
+    for i in range(1, size * size):
+        np.maximum(out, v[:, :, i // size, :, i % size], out=out)
+    return out
+
+
+def _flatten_int(x):
+    """Rows in NCHW order, the order of the fc weights."""
+    return (x.transpose(0, 3, 1, 2) if x.ndim == 4 else x).reshape(x.shape[0], -1)
 
 
 def _requant_mult(acc, fx: FxLayer):
-    scaled = qz.round_half_away(acc.astype(np.float64) * fx.multiplier)
-    return np.clip(scaled, 0, 2**fx.act_bits - 1).astype(np.int64)
+    """clip(round_half_away(acc * multiplier), 0, 2^m - 1) in float64, as
+    floor(max(y, 0) + 0.5) in place: the two agree once y >= 0."""
+    y = np.multiply(acc, fx.multiplier, dtype=np.float64)
+    np.maximum(y, 0.0, out=y)
+    y += 0.5
+    np.floor(y, out=y)
+    return np.minimum(y, 2**fx.act_bits - 1, out=y)
 
 
 def _requant_shift(acc, fx: FxLayer):
+    """sign(v) * ((|v| + 2^(s-1)) >> s) clipped to [0, 2^m - 1], in int64;
+    clipping at 0 first leaves the result unchanged."""
+    v = np.maximum(acc, 0).astype(np.int64, copy=False)
     s = fx.shift
     if s <= 0:
-        shifted = acc << (-s)
+        v <<= -s
     else:
-        mag = np.abs(acc)
-        shifted = np.sign(acc) * ((mag + (1 << (s - 1))) >> s)
-    return np.clip(shifted, 0, 2**fx.act_bits - 1)
+        v += 1 << (s - 1)
+        v >>= s
+    return np.minimum(v, 2**fx.act_bits - 1, out=v)
 
 
-def _run_int(model: FixedPointModel, codes, use_shift, debug):
-    x = codes
-    logits = None
+def _run_int(model: FixedPointModel, codes, in_bits, shift, debug):
+    """One batch, NHWC inside, each layer in the dtype its accumulator_bound
+    proves exact. A requantization waits past the max-pools after it: the
+    rescale is monotone, so the codes are the same, and fewer values are
+    rescaled. shift, the only difference of infer_shift, picks the rescale."""
+    x = codes.transpose(0, 2, 3, 1) if codes.ndim == 4 else codes
+    bits, pending, logits = in_bits, None, None
     for fx in model.layers:
+        if fx.kind == "maxpool":
+            x = _pool_int(x, fx.size)
+            continue
+        if pending is not None:
+            x = (_requant_shift if shift else _requant_mult)(x, pending)
+            bits, pending = pending.act_bits, None
         if fx.kind in ("conv", "fc"):
+            dtype = _acc_dtype(accumulator_bound(fx, bits))
             if fx.kind == "conv":
-                acc = _conv_int(x, fx)
+                acc = _conv_int(x, fx, dtype)
             else:
-                acc = x @ fx.weight_codes.T + fx.bias_codes
+                acc = _gemm(x, fx.weight_codes, fx.bias_codes, dtype)
             if debug and acc.size and np.abs(acc).max() > INT32_MAX:
                 raise OverflowError(
                     f"accumulator {np.abs(acc).max()} exceeds the declared "
                     f"32-bit width"
                 )
             if fx.act_bits:
-                x = _requant_shift(acc, fx) if use_shift else _requant_mult(acc, fx)
+                x, pending = acc, fx
             else:
-                if use_shift:
-                    logits = np.ldexp(acc.astype(np.float64), -fx.shift)
-                else:
-                    logits = acc.astype(np.float64) * fx.logit_scale
-        elif fx.kind == "maxpool":
-            x = _pool_int(x, fx.size)
+                y = acc.astype(np.float64)
+                logits = np.ldexp(y, -fx.shift) if shift else y * fx.logit_scale
         elif fx.kind == "relu":
             x = np.maximum(x, 0)
         elif fx.kind == "flatten":
-            x = x.reshape(x.shape[0], -1)
+            x = _flatten_int(x)
     if logits is None:
         raise ValueError("model has no final parameter layer")
-    return logits
+    return logits.transpose(0, 3, 1, 2) if logits.ndim == 4 else logits
 
 
-def infer(model: FixedPointModel, inp, batch=512, debug=False):
-    """Integer-only forward; returns real logits (n, classes)."""
+def _infer(model: FixedPointModel, inp, batch, debug, shift):
     if not isinstance(inp, IntTensor):
         inp = encode_input(inp, model)
     codes = inp.codes
     outs = [
-        _run_int(model, codes[s : s + batch], use_shift=False, debug=debug)
+        _run_int(model, codes[s : s + batch], inp.bits, shift, debug)
         for s in range(0, codes.shape[0], batch)
     ]
     return np.concatenate(outs, axis=0)
+
+
+def infer(model: FixedPointModel, inp, batch=512, debug=False):
+    """Integer-only forward; returns real logits (n, classes)."""
+    return _infer(model, inp, batch, debug, shift=False)
 
 
 def infer_shift(model: FixedPointModel, inp, batch=512, debug=False):
@@ -344,14 +378,7 @@ def infer_shift(model: FixedPointModel, inp, batch=512, debug=False):
             "model has non-power-of-two rescale multipliers; shift inference "
             "is undefined"
         )
-    if not isinstance(inp, IntTensor):
-        inp = encode_input(inp, model)
-    codes = inp.codes
-    outs = [
-        _run_int(model, codes[s : s + batch], use_shift=True, debug=debug)
-        for s in range(0, codes.shape[0], batch)
-    ]
-    return np.concatenate(outs, axis=0)
+    return _infer(model, inp, batch, debug, shift=True)
 
 
 def simulate_float(model: FixedPointModel, images, batch=512):
@@ -449,6 +476,11 @@ class FormatError(ValueError):
     pass
 
 
+def _bad_scale(x):
+    """True unless x is a positive, finite number."""
+    return not 0.0 < x < math.inf
+
+
 class _Cursor:
     def __init__(self, buf):
         self.buf = buf
@@ -490,11 +522,12 @@ def load_model(path_or_bytes):
     version, shift_only, input_bits, input_scale, n_layers = cur.take("<HBBdH")
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
-    if not 1 <= input_bits <= 16 or input_scale <= 0:
+    if not 1 <= input_bits <= 16 or _bad_scale(input_scale):
         raise FormatError("invalid input encoding")
     model = FixedPointModel(
         input_scale=input_scale, input_bits=input_bits, shift_only=bool(shift_only)
     )
+    in_bits = input_bits
     for i in range(n_layers):
         (tag,) = cur.take("<B")
         kind = _TAG_KINDS.get(tag)
@@ -514,10 +547,10 @@ def load_model(path_or_bytes):
                 raise FormatError(f"layer {i}: weight bits {fx.weight_bits}")
             if fx.act_bits > 16:
                 raise FormatError(f"layer {i}: act bits {fx.act_bits}")
-            if fx.weight_scale <= 0 or fx.in_scale <= 0:
-                raise FormatError(f"layer {i}: non-positive scale")
-            if fx.act_bits and fx.out_scale <= 0:
-                raise FormatError(f"layer {i}: non-positive output scale")
+            if _bad_scale(fx.weight_scale) or _bad_scale(fx.in_scale):
+                raise FormatError(f"layer {i}: non-positive or non-finite scale")
+            if fx.act_bits and _bad_scale(fx.out_scale):
+                raise FormatError(f"layer {i}: non-positive or non-finite output scale")
             fx.shift = None if shift == SHIFT_NONE else shift
             fx.weight_codes = cur.take_array(_code_dtype(fx.weight_bits), n_w)
             fx.bias_codes = cur.take_array("<i4", n_b)
@@ -526,6 +559,13 @@ def load_model(path_or_bytes):
                 fx.weight_codes.min() < -half or fx.weight_codes.max() > half - 1
             ):
                 raise FormatError(f"layer {i}: weight codes out of range")
+            bound = accumulator_bound(fx, in_bits)
+            if bound > INT32_MAX:
+                raise FormatError(
+                    f"layer {i}: worst-case accumulator {bound} exceeds 32-bit "
+                    f"range {INT32_MAX}"
+                )
+            in_bits = fx.act_bits or in_bits
             if kind == "conv":
                 fx.weight_codes = fx.weight_codes.reshape(
                     fx.out_ch, fx.in_ch, fx.ksize, fx.ksize

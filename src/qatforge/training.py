@@ -716,6 +716,7 @@ def _run_prune(net, data, cfg: TrainConfig, log_prefix=""):
             weights = [layer.W for layer in params]
             theta = rg.prune_threshold(weights, cfg.prune_ratio)
             p_value = rg.partial_l2(weights, theta, n_w)
+            cost = reg.cost(task, p_value, 0.0)  # the coefficients of this step
             for l, layer in enumerate(params):
                 gW = layer.gW + lam * rg.partial_l2_grad(layer.W, theta, n_w)
                 layer.W += adam_w[l].step(gW, lr_w)
@@ -732,7 +733,7 @@ def _run_prune(net, data, cfg: TrainConfig, log_prefix=""):
                     "prune_l2": p_value,
                     "lam": lam,
                     "theta": theta,
-                    "cost": task + lam * p_value - reg.alpha * np.log(lam),
+                    "cost": cost,
                 }
             )
             it += 1

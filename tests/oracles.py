@@ -88,3 +88,50 @@ def entropy_bits(counts):
         p = c / total
         h -= p * np.log2(p)
     return h
+
+
+def int64_forward(model, codes, shift=False):
+    """The integer engine as first written, for bit-exact comparison:
+    NCHW int64 multiply-accumulate (numpy's integer matmul, no BLAS),
+    requantization as round-half-away of acc * multiplier in float64 (or as
+    the integer shift sign(v) * ((|v| + 2^(s-1)) >> s)), then the clip, and
+    every max-pool on codes. codes are (n, c, h, w) or (n, features)."""
+    x = np.asarray(codes, dtype=np.int64)
+    logits = None
+    for fx in model.layers:
+        if fx.kind in ("conv", "fc"):
+            w = np.asarray(fx.weight_codes, dtype=np.int64)
+            b = np.asarray(fx.bias_codes, dtype=np.int64)
+            if fx.kind == "conv":
+                p, s = fx.pad, fx.stride
+                xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+                win = np.lib.stride_tricks.sliding_window_view(
+                    xp, (fx.ksize, fx.ksize), axis=(2, 3)
+                )[:, :, ::s, ::s]
+                acc = np.einsum("nchwij,ocij->nohw", win, w) + b[None, :, None, None]
+            else:
+                acc = x @ w.T + b
+            if fx.act_bits:
+                if shift:
+                    sh = fx.shift
+                    if sh <= 0:
+                        v = acc << (-sh)
+                    else:
+                        v = np.sign(acc) * ((np.abs(acc) + (1 << (sh - 1))) >> sh)
+                else:
+                    y = acc.astype(np.float64) * fx.multiplier
+                    v = np.sign(y) * np.floor(np.abs(y) + 0.5)
+                x = np.clip(v, 0, 2**fx.act_bits - 1).astype(np.int64)
+            elif shift:
+                logits = np.ldexp(acc.astype(np.float64), -fx.shift)
+            else:
+                logits = acc.astype(np.float64) * fx.logit_scale
+        elif fx.kind == "maxpool":
+            n, c, h, w_ = x.shape
+            k = fx.size
+            x = x.reshape(n, c, h // k, k, w_ // k, k).max(axis=(3, 5))
+        elif fx.kind == "relu":
+            x = np.maximum(x, 0)
+        elif fx.kind == "flatten":
+            x = x.reshape(x.shape[0], -1)
+    return logits

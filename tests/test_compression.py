@@ -313,6 +313,20 @@ def test_decode_rejects_malformed():
                 cz.decode_model(bytes(bad))
             except ValueError:
                 pass
+    # a negative input_scale (0xff on its sign byte, offset 16) and a
+    # negative conv weight_scale (0x80 on its sign byte, offset 32) are
+    # rejected, as are zero and non-finite scales
+    for offset, byte in ((16, 0xFF), (32, 0x80)):
+        bad = bytearray(blob)
+        bad[offset] = byte
+        with pytest.raises(ValueError, match="scale"):
+            cz.decode_model(bytes(bad))
+    for offset in (9, 25):
+        for value in (0.0, np.inf, np.nan):
+            bad = bytearray(blob)
+            bad[offset : offset + 8] = np.float64(value).tobytes()
+            with pytest.raises(ValueError, match="scale"):
+                cz.decode_model(bytes(bad))
     # a varint past the int64 range
     with pytest.raises(ValueError, match="int64"):
         cz._read_varint(bytes([0xFF] * 9 + [0x7F]), 0)

@@ -4,6 +4,7 @@ float-simulation oracle, and the serialized model format."""
 import numpy as np
 import pytest
 
+import oracles
 from qatforge import fixedpoint as fx
 from qatforge import quantizers as qz
 from qatforge.models import net_from_spec
@@ -302,3 +303,174 @@ def test_big_lenet_conversion_is_statically_safe():
     scales = ScaleState([delta] * 4, [0.1] * 4, 1 / 255)
     model = fx.convert(net, scales, plan)
     assert len(model.param_layers) == 4
+
+
+# --- exactness of the BLAS accumulators against the int64 engine ------------
+
+
+def _random_engine_model(rng, wbits, abits, in_bits, pow2):
+    """conv(pad 1) - maxpool - conv(stride 2) - relu - flatten - fc - fc on
+    1x12x12 inputs, random codes in range, multipliers that spread the codes
+    over their range (powers of two when pow2)."""
+    geometry = [
+        dict(kind="conv", in_ch=1, out_ch=3, ksize=3, stride=1, pad=1),
+        dict(kind="maxpool", size=2),
+        dict(kind="conv", in_ch=3, out_ch=4, ksize=2, stride=2, pad=0),
+        dict(kind="relu"),
+        dict(kind="flatten"),
+        dict(kind="fc", in_features=36, out_features=8),
+        dict(kind="fc", in_features=8, out_features=3),
+    ]
+    layers, bits, in_scale = [], in_bits, 1.0
+    half = 2 ** (wbits - 1)
+    for g in geometry:
+        layer = fx.FxLayer(**g)
+        if layer.kind in ("conv", "fc"):
+            final = layer.in_features == 8
+            out_n = layer.out_ch or layer.out_features
+            fan_in = layer.in_ch * layer.ksize**2 or layer.in_features
+            layer.weight_codes = rng.integers(-half, half, (out_n, fan_in))
+            if layer.kind == "conv":
+                k = layer.ksize
+                layer.weight_codes = layer.weight_codes.reshape(out_n, layer.in_ch, k, k)
+            reach = half * 2**bits * np.sqrt(fan_in) / 4
+            layer.bias_codes = rng.integers(-int(reach / 4), int(reach / 4) + 1, out_n)
+            mult = 2.0**abits / reach * rng.uniform(0.5, 2.0)
+            if pow2:
+                mult = 2.0 ** np.round(np.log2(mult))
+            layer.weight_bits, layer.in_scale = wbits, in_scale
+            if final:
+                layer.weight_scale = mult / in_scale
+            else:
+                layer.act_bits, layer.out_scale = abits, 2.0**-abits
+                layer.weight_scale = mult * layer.out_scale / in_scale
+                bits, in_scale = abits, layer.out_scale
+            if pow2:
+                layer.shift = fx._shift_exponent(layer.logit_scale if final else layer.multiplier)
+                assert layer.shift is not None
+        layers.append(layer)
+    model = fx.FixedPointModel(input_scale=1.0, input_bits=in_bits, layers=layers)
+    model.shift_only = pow2
+    return model
+
+
+def _layer_dtypes(model, in_bits):
+    out = []
+    for layer in model.param_layers:
+        out.append(fx._acc_dtype(fx.accumulator_bound(layer, in_bits)))
+        in_bits = layer.act_bits or in_bits
+    return out
+
+
+@pytest.mark.parametrize(
+    "wbits,abits,in_bits,dtype",
+    [(4, 4, 8, np.float32), (8, 8, 8, np.float32),
+     (12, 12, 12, np.float64), (16, 16, 16, np.float64)],
+)
+def test_engine_bit_identical_to_int64_oracle(wbits, abits, in_bits, dtype):
+    rng = np.random.default_rng(wbits * 100 + in_bits)
+    for pow2 in (False, True):
+        model = _random_engine_model(rng, wbits, abits, in_bits, pow2)
+        assert set(_layer_dtypes(model, in_bits)) == {dtype}
+        codes = fx.IntTensor(rng.integers(0, 2**in_bits, (40, 1, 12, 12)), in_bits, False)
+        got = fx.infer(model, codes, batch=16)
+        want = oracles.int64_forward(model, codes.codes)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # the images stay apart: the codes are not all clipped to one rail
+        assert np.unique(got).size > 60
+        if pow2:
+            shifted = fx.infer_shift(model, codes, batch=16)
+            want_shift = oracles.int64_forward(model, codes.codes, shift=True)
+            assert shifted.tobytes() == want_shift.tobytes()
+            assert shifted.tobytes() == got.tobytes()
+
+
+def test_int64_regime_matches_oracle():
+    # 32-bit weights and inputs: the bound passes 2^53, so only int64 is exact
+    rng = np.random.default_rng(30)
+    layer = _fc_layer(rng.integers(-(2**20), 2**20, (3, 5)), [7, -9, 2**40], 32, 0, 1.0, 1.0, 0.0)
+    model = fx.FixedPointModel(input_scale=1.0, input_bits=32, layers=[layer])
+    assert _layer_dtypes(model, 32) == [np.int64]
+    codes = fx.IntTensor(rng.integers(0, 2**22, (6, 5)), 32, signed=False)
+    assert fx.infer(model, codes).tobytes() == oracles.int64_forward(model, codes.codes).tobytes()
+
+
+def _rail_model(kind, target, wbits, in_bits):
+    """One final layer whose bound is exactly target, reached by every output
+    when every weight code is -2^(n-1) and every input code 2^m - 1."""
+    half = 2 ** (wbits - 1)
+    if kind == "conv":
+        layer = fx.FxLayer(kind="conv", in_ch=2, out_ch=3, ksize=3)
+        shape = (3, 2, 3, 3)
+    else:
+        layer = fx.FxLayer(kind="fc", in_features=18, out_features=3)
+        shape = (3, 18)
+    rails = 18 * half * (2**in_bits - 1)
+    layer.weight_codes = np.full(shape, -half, dtype=np.int64)
+    layer.bias_codes = np.full(3, -(target - rails), dtype=np.int64)
+    layer.weight_bits, layer.weight_scale, layer.in_scale = wbits, 1.0, 1.0
+    layer.shift = 0
+    layers = [layer] if kind == "conv" else [fx.FxLayer(kind="flatten"), layer]
+    model = fx.FixedPointModel(1.0, in_bits, layers, shift_only=True)
+    assert fx.accumulator_bound(layer, in_bits) == target
+    return model
+
+
+@pytest.mark.parametrize("kind", ["conv", "fc"])
+@pytest.mark.parametrize(
+    "target,wbits,in_bits,dtype",
+    [(2**24 - 1, 8, 8, np.float32), (2**24, 8, 8, np.float64),
+     (2**53 - 1, 16, 16, np.float64), (2**53, 16, 16, np.int64)],
+)
+def test_rail_inputs_reach_the_bound_exactly(kind, target, wbits, in_bits, dtype):
+    model = _rail_model(kind, target, wbits, in_bits)
+    assert _layer_dtypes(model, in_bits) == [dtype]
+    codes = fx.IntTensor(np.full((2, 2, 3, 3), 2**in_bits - 1), in_bits, signed=False)
+    got = fx.infer(model, codes)
+    assert np.all(got == -float(target))
+    assert got.tobytes() == oracles.int64_forward(model, codes.codes).tobytes()
+    assert fx.infer_shift(model, codes).tobytes() == got.tobytes()
+
+
+def test_accumulate_dtype_flips_exactly_at_the_bound():
+    # float32 holds every integer up to 2^24 and loses 2^24 + 1; float64 the
+    # same at 2^53, so a bound of 2^24 already needs float64
+    assert float(np.float32(2**24 + 1)) != 2**24 + 1
+    assert float(np.float64(2**53 + 1)) != 2**53 + 1
+    assert fx._acc_dtype(2**24 - 1) is np.float32
+    assert fx._acc_dtype(2**24) is np.float64
+    assert fx._acc_dtype(2**53 - 1) is np.float64
+    assert fx._acc_dtype(2**53) is np.int64
+    # and the bound of a layer decides: one more unit of bias flips it
+    model = _rail_model("fc", 2**24 - 1, 8, 8)
+    layer = model.param_layers[0]
+    assert fx._acc_dtype(fx.accumulator_bound(layer, 8)) is np.float32
+    layer.bias_codes = layer.bias_codes - 1
+    assert fx.accumulator_bound(layer, 8) == 2**24
+    assert fx._acc_dtype(fx.accumulator_bound(layer, 8)) is np.float64
+
+
+def test_load_rejects_layer_over_the_accumulator_bound(tmp_path):
+    # a hand-built file: 16-bit inputs and weights on a 64-wide fc layer,
+    # whose worst case 64 * 2^15 * (2^16 - 1) is far past 2^31 - 1
+    layer = _fc_layer(np.ones((2, 64), dtype=np.int64), [0, 0], 16, 0, 1.0, 1.0, 0.0)
+    model = fx.FixedPointModel(input_scale=1.0, input_bits=16, layers=[layer])
+    path = tmp_path / "wide.fxpm"
+    fx.save_model(path, model)
+    with pytest.raises(fx.FormatError, match="accumulator"):
+        fx.load_model(path)
+    # 8-bit inputs and weights on the same layer are within the contract
+    layer.weight_bits, model.input_bits = 8, 8
+    again = fx.load_model(fx.save_model(None, model))
+    assert fx.accumulator_bound(again.param_layers[0], 8) == 64 * 128 * 255
+
+
+def test_load_rejects_non_finite_scales():
+    rng = np.random.default_rng(12)
+    net, scales, plan = _tiny_quantized_net(rng, 0.25, 0.5, 1 / 256)
+    blob = fx.save_model(None, fx.convert(net, scales, plan))
+    for value in (np.inf, np.nan, -0.5):
+        bad = bytearray(blob)
+        bad[8:16] = np.float64(value).tobytes()  # input_scale
+        with pytest.raises(fx.FormatError):
+            fx.load_model(bytes(bad))

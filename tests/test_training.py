@@ -2,6 +2,10 @@
 determinism, stage composition, and checkpoints."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,6 +178,48 @@ def test_float_training_learns_and_is_deterministic():
     net_c = _toy_net(np.random.default_rng(8))
     c = tr.train(net_c, data, _cfg(mode="float", epochs=3, lr=1e-2, seed=5))
     assert not np.array_equal(a.log.column("task"), c.log.column("task"))
+
+
+_CHILD = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from qatforge import training as tr
+from qatforge.cli import emit_curves
+from test_training import _cfg, _conv_net, _toy_data
+
+out = Path(sys.argv[1])
+data = _toy_data(np.random.default_rng(3))
+cfg = _cfg(mode="qat", epochs=2, lr=1e-2, weight_bits=4, act_bits=4, seed=4)
+res = tr.train(_conv_net(np.random.default_rng(9)), data, cfg)
+arrays = {}
+for l, layer in enumerate(res.net.param_layers):
+    arrays[f"w{l}"], arrays[f"b{l}"] = layer.W, layer.b
+np.savez(out / "weights.npz", scales=res.scales.weight_scales, **arrays)
+emit_curves(res.log, out)
+"""
+
+
+def test_same_seed_in_two_processes_gives_the_same_bytes(tmp_path):
+    # the determinism contract, across processes: same seed, same BLAS
+    # thread setting (one thread here), byte-identical weights and curves
+    src = Path(tr.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    procs = []
+    for out in outs:
+        out.mkdir()
+        procs.append(subprocess.Popen([sys.executable, "-c", _CHILD, str(out)], env=env,
+                                      stdout=subprocess.DEVNULL, stderr=subprocess.PIPE))
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err.decode()
+    for name in ("weights.npz", "curves.csv"):
+        first = (outs[0] / name).read_bytes()
+        assert len(first) > 1000 and first == (outs[1] / name).read_bytes(), name
 
 
 def test_qat_training_lands_on_grid():
