@@ -17,6 +17,7 @@ import numpy as np
 
 import qatforge as qf
 from qatforge import fixedpoint as fx
+from qatforge.nn import max_pool
 
 
 def main():
@@ -57,7 +58,7 @@ def main():
                 print(f"{head} (final, scale {layer.logit_scale:.2e})")
                 logits = acc
         elif layer.kind == "maxpool":
-            x = fx._pool_int(x, layer.size)
+            x = max_pool(x, layer.size)
             print(f"  {i}: maxpool              -> codes {x.min():.0f}..{x.max():.0f}")
         elif layer.kind == "flatten":
             x = fx._flatten_int(x)

@@ -190,9 +190,9 @@ def _run_training(cfg: ExperimentConfig, init_ckpt=None):
     emit_curves(result.log, outdir)
     if result.prune_log is not None:
         emit_curves(result.prune_log, outdir / "prune_stage")
+    # run time stays out of the checkpoint, so a rerun writes the same bytes
     meta = {
         "final_accuracy": result.final_accuracy,
-        "wall_seconds": result.wall_seconds,
         "diagnostics": result.diagnostics,
     }
     save_checkpoint(
@@ -205,7 +205,7 @@ def _run_training(cfg: ExperimentConfig, init_ckpt=None):
         meta=meta,
     )
     with open(outdir / "metrics.json", "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
+        json.dump({**meta, "wall_seconds": result.wall_seconds}, f, indent=2, sort_keys=True)
     print(f"final accuracy {result.final_accuracy:.4f}")
     print(f"artifacts in {outdir}")
     return 0

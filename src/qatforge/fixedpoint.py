@@ -30,9 +30,9 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import quantizers as qz
+from .nn import Conv2d, Linear, MaxPool2d, im2col, max_pool
 
 INT32_MAX = 2**31 - 1
 MAGIC = b"FXPM"
@@ -264,26 +264,10 @@ def _conv_int(x, fx: FxLayer, dtype):
     """Accumulator of a conv layer on an NHWC map, as an NHWC map. Columns
     run over (kh, kw, c), the weights are permuted to match, and an exact
     sum does not depend on the order."""
-    p, k, st = fx.pad, fx.ksize, fx.stride
-    x = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0))) if p else x
-    win = sliding_window_view(np.ascontiguousarray(x, dtype=dtype), (k, k), axis=(1, 2))
-    win = win[:, ::st, ::st].transpose(0, 1, 2, 4, 5, 3)
-    n, ho, wo = win.shape[:3]
+    cols, ho, wo = im2col(x.astype(dtype, copy=False), fx.ksize, fx.stride, fx.pad)
     w = fx.weight_codes.transpose(0, 2, 3, 1)
-    acc = _gemm(win.reshape(n * ho * wo, -1), w, fx.bias_codes, dtype)
-    return acc.reshape(n, ho, wo, -1)
-
-
-def _pool_int(x, size):
-    """Max-pool of an NHWC map: the running maximum of size^2 strided views."""
-    n, h, w, c = x.shape
-    if h % size or w % size:
-        raise ValueError("pool size must divide the spatial dims")
-    v = x.reshape(n, h // size, size, w // size, size, c)
-    out = v[:, :, 0, :, 0].copy()
-    for i in range(1, size * size):
-        np.maximum(out, v[:, :, i // size, :, i % size], out=out)
-    return out
+    acc = _gemm(cols, w, fx.bias_codes, dtype)
+    return acc.reshape(x.shape[0], ho, wo, -1)
 
 
 def _flatten_int(x):
@@ -323,7 +307,7 @@ def _run_int(model: FixedPointModel, codes, in_bits, shift, debug):
     bits, pending, logits = in_bits, None, None
     for fx in model.layers:
         if fx.kind == "maxpool":
-            x = _pool_int(x, fx.size)
+            x = max_pool(x, fx.size)
             continue
         if pending is not None:
             x = (_requant_shift if shift else _requant_mult)(x, pending)
@@ -386,7 +370,18 @@ def simulate_float(model: FixedPointModel, images, batch=512):
     grid weights, real accumulation, requantization as
     Delta*clip(round(y/Delta)). This is the training-time quantized forward
     restricted to inference, and the oracle infer must agree with."""
-    from .nn import Conv2d, Linear
+    ops = []  # the float layers, built once for all batches
+    for fx in model.layers:
+        if fx.kind in ("conv", "fc"):
+            if fx.kind == "conv":
+                op = Conv2d(fx.in_ch, fx.out_ch, fx.ksize, fx.stride, fx.pad)
+            else:
+                op = Linear(fx.in_features, fx.out_features)
+            op.W = fx.weight_codes.astype(np.float64) * fx.weight_scale
+            op.b = fx.bias_codes.astype(np.float64) * (fx.weight_scale * fx.in_scale)
+        else:
+            op = MaxPool2d(fx.size) if fx.kind == "maxpool" else None
+        ops.append(op)
 
     x_all = np.asarray(images, dtype=np.float64)
     if x_all.ndim == 3:
@@ -395,25 +390,17 @@ def simulate_float(model: FixedPointModel, images, batch=512):
 
     outs = []
     for s in range(0, x_all.shape[0], batch):
-        x = x_all[s : s + batch]
-        for fx in model.layers:
+        x, prev = x_all[s : s + batch], None
+        for fx, op in zip(model.layers, ops):
             if fx.kind in ("conv", "fc"):
-                d, din = fx.weight_scale, fx.in_scale
-                wq = fx.weight_codes.astype(np.float64) * d
-                bq = fx.bias_codes.astype(np.float64) * (d * din)
-                if fx.kind == "conv":
-                    op = Conv2d(fx.in_ch, fx.out_ch, fx.ksize, fx.stride, fx.pad)
-                else:
-                    op = Linear(fx.in_features, fx.out_features)
-                y = op.forward(x, wq, bq)
-                if fx.act_bits:
-                    x = qz.quantize_unsigned(y, fx.out_scale, fx.act_bits)
-                else:
-                    x = y
+                # requantize at the next layer's input, as the training tap
+                # does: the quantizer is monotone, so pooling first gives the
+                # same values from a quarter of the work
+                if prev is not None and prev.act_bits:
+                    x = qz.quantize_unsigned(x, prev.out_scale, prev.act_bits)
+                x, prev = op.forward(x, op.W, op.b), fx
             elif fx.kind == "maxpool":
-                n, c, h, w = x.shape
-                k = fx.size
-                x = x.reshape(n, c, h // k, k, w // k, k).max(axis=(3, 5))
+                x = op.forward(x)
             elif fx.kind == "relu":
                 x = np.maximum(x, 0.0)
             elif fx.kind == "flatten":

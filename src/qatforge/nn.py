@@ -5,13 +5,22 @@ needs during forward. A Network chains layers and optionally routes
 parameters and inter-layer activations through a tap (see training.QuantTap):
 the tap may substitute quantized copies for the forward pass while the float
 masters keep receiving updates, and it owns the straight-through backward
-rule at the activation junctions. Feature maps are NCHW, linear weights are
-(out, in), everything is row-major float64.
+rule at the activation junctions. Linear weights are (out, in), conv
+weights (out, in, kh, kw), everything is float64.
 
-Convolution is im2col plus a BLAS matmul; the input gradient is computed as a
-stride-1 correlation of the (dilated) output gradient with the flipped
-kernel, which is exact for the integer-divisible geometries the constructor
-enforces.
+Feature maps have NCHW shape and channels-last memory. Conv2d and MaxPool2d
+read their input through the NHWC view x.transpose(0, 2, 3, 1), which costs
+nothing when the producer wrote channels-last, write an NHWC array, and
+return its NCHW view. ReLU and the tap's quantizers and masks are elementwise
+and keep the memory order of their input. Flatten yields rows in (c, h, w)
+order, the order of the fc weights.
+
+Convolution is im2col with (kh, kw, c) columns plus a BLAS matmul against
+the weights permuted to (out, kh, kw, in); the input gradient is one GEMM
+against the same permuted kernel and k*k strided slab adds, which is exact
+for the integer-divisible geometries forward enforces. Max-pooling is
+a running maximum of strided views. fixedpoint's integer engine runs the same
+im2col and max_pool on its NHWC codes.
 """
 
 from __future__ import annotations
@@ -25,19 +34,36 @@ def _he_normal(rng, shape, fan_in):
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def _im2col(x, kh, kw, stride):
-    n, c, h, w = x.shape
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
+def im2col(x, k, stride, pad=0):
+    """Columns of the k x k windows of an NHWC map x (any strides), after
+    zero-padding by pad: one row per output pixel in (n, ho, wo) order, and
+    (kh, kw, c) order along a row. Returns (cols, ho, wo)."""
+    if pad:
+        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    n, h, w, c = x.shape
+    ho = (h - k) // stride + 1
+    wo = (w - k) // stride + 1
     s0, s1, s2, s3 = x.strides
     windows = np.lib.stride_tricks.as_strided(
         x,
-        shape=(n, c, ho, wo, kh, kw),
-        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
+        shape=(n, ho, wo, k, k, c),
+        strides=(s0, s1 * stride, s2 * stride, s1, s2, s3),
         writeable=False,
     )
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kh * kw)
-    return cols, ho, wo
+    return windows.reshape(n * ho * wo, k * k * c), ho, wo
+
+
+def max_pool(x, k):
+    """k x k max-pool with stride k of an NHWC map x (any strides): the
+    running maximum of the k*k strided views, as a C-contiguous NHWC map."""
+    n, h, w, c = x.shape
+    if h % k or w % k:
+        raise ValueError(f"pool size {k} does not divide input {h}x{w}")
+    v = x.reshape(n, h // k, k, w // k, k, c)
+    out = v[:, :, 0, :, 0].copy()
+    for i in range(1, k * k):
+        np.maximum(out, v[:, :, i // k, :, i % k], out=out)
+    return out
 
 
 class Conv2d:
@@ -55,51 +81,43 @@ class Conv2d:
 
     def forward(self, x, w, b):
         k, s, p = self.ksize, self.stride, self.pad
-        if p:
-            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        if (x.shape[2] - k) % s or (x.shape[3] - k) % s:
+        n, c, h, wd = x.shape
+        hp, wp = h + 2 * p, wd + 2 * p
+        if (hp - k) % s or (wp - k) % s:
             raise ValueError(
-                f"conv input {x.shape[2]}x{x.shape[3]} not divisible by "
-                f"kernel {k} stride {s}"
+                f"conv input {hp}x{wp} not divisible by kernel {k} stride {s}"
             )
-        cols, ho, wo = _im2col(x, k, k, s)
+        cols, ho, wo = im2col(x.transpose(0, 2, 3, 1), k, s, p)
         self._cols = cols
-        self._w_run = w
-        self._in_shape = x.shape  # padded shape
-        y = cols @ w.reshape(self.out_ch, -1).T + b
-        n = x.shape[0]
+        self._wk = w.transpose(0, 2, 3, 1).reshape(self.out_ch, -1)
+        self._padded = (n, hp, wp, c)
+        y = cols @ self._wk.T
+        y += b
         return y.reshape(n, ho, wo, self.out_ch).transpose(0, 3, 1, 2)
 
     def backward(self, gy, need_input_grad=True):
         n, oc, ho, wo = gy.shape
+        k, c = self.ksize, self.in_ch
         gyf = gy.transpose(0, 2, 3, 1).reshape(-1, oc)
-        self.gW = (gyf.T @ self._cols).reshape(self.W.shape)
+        gw = (gyf.T @ self._cols).reshape(oc, k, k, c)
+        self.gW = np.ascontiguousarray(gw.transpose(0, 3, 1, 2))
         self.gb = gyf.sum(axis=0)
         if not need_input_grad:
             return None
-        return self._grad_input(gyf, gy.shape)
-
-    def _grad_input(self, gyf, gy_shape):
-        # one GEMM against the flattened kernel, then scatter-add each of
-        # the k*k offset slabs; cheaper than building the
-        # transposed-convolution im2col, which copies far more memory
-        k, s, p = self.ksize, self.stride, self.pad
-        n, oc, ho, wo = gy_shape
-        hp, wp = self._in_shape[2], self._in_shape[3]
-        c = self.in_ch
-        g = gyf @ self._w_run.reshape(oc, -1)
-        g = np.ascontiguousarray(g.reshape(-1, c, k * k).transpose(2, 0, 1))
-        g = g.reshape(k * k, n, ho, wo, c)
-        gx = np.zeros((n, hp, wp, c))
+        # one GEMM against the permuted kernel, then scatter-add each of the
+        # k*k offset slabs; cheaper than a flipped-kernel correlation, which
+        # builds a far larger im2col
+        s, p = self.stride, self.pad
+        g = (gyf @ self._wk).reshape(n, ho, wo, k, k, c)
+        gx = np.zeros(self._padded)
         hs = (ho - 1) * s + 1
         ws = (wo - 1) * s + 1
         for i in range(k):
             for j in range(k):
-                gx[:, i : i + hs : s, j : j + ws : s, :] += g[i * k + j]
-        gx = np.ascontiguousarray(gx.transpose(0, 3, 1, 2))
+                gx[:, i : i + hs : s, j : j + ws : s] += g[:, :, :, i, j]
         if p:
-            gx = gx[:, :, p:-p, p:-p]
-        return gx
+            gx = gx[:, p:-p, p:-p]
+        return gx.transpose(0, 3, 1, 2)
 
 
 class Linear:
@@ -138,8 +156,8 @@ class ReLU:
 
 class MaxPool2d:
     """Non-overlapping pooling (kernel == stride); ties route the gradient to
-    the first maximal element, which keeps backward deterministic even on
-    quantized activations where ties are common."""
+    the first maximal element in window order, which keeps backward
+    deterministic even on quantized activations where ties are common."""
 
     params = False
 
@@ -147,29 +165,28 @@ class MaxPool2d:
         self.size = size
 
     def forward(self, x):
-        k = self.size
-        n, c, h, w = x.shape
-        if h % k or w % k:
-            raise ValueError(f"pool size {k} does not divide input {h}x{w}")
-        win = (
-            x.reshape(n, c, h // k, k, w // k, k)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h // k, w // k, k * k)
-        )
-        self._arg = win.argmax(axis=-1)
-        self._in_shape = x.shape
-        return np.take_along_axis(win, self._arg[..., None], axis=-1)[..., 0]
+        self._in_shape = x.shape  # perfbench names a pool call by its channels
+        self._x = x.transpose(0, 2, 3, 1)
+        self._y = max_pool(self._x, self.size)
+        return self._y.transpose(0, 3, 1, 2)
 
     def backward(self, gy):
         k = self.size
-        n, c, ho, wo = gy.shape
-        flat = np.zeros((n, c, ho, wo, k * k))
-        np.put_along_axis(flat, self._arg[..., None], gy[..., None], axis=-1)
-        return (
-            flat.reshape(n, c, ho, wo, k, k)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(self._in_shape)
-        )
+        n, h, w, c = self._x.shape
+        v = self._x.reshape(n, h // k, k, w // k, k, c)
+        # every element of gx is written once, as gradient bits times a 0/1
+        # hit; on the int64 view a miss writes +0.0, where a float product
+        # would leave -0.0 under a negative gradient
+        g = np.asarray(gy, dtype=np.float64).transpose(0, 2, 3, 1).view(np.int64)
+        gx = np.empty((n, h, w, c))
+        gv = gx.view(np.int64).reshape(v.shape)
+        free = np.ones(self._y.shape, dtype=bool)  # window not yet routed
+        for i in range(k * k):
+            hit = v[:, :, i // k, :, i % k] == self._y
+            hit &= free
+            free ^= hit
+            np.multiply(g, hit, out=gv[:, :, i // k, :, i % k])
+        return gx.transpose(0, 3, 1, 2)
 
 
 class Flatten:

@@ -275,11 +275,30 @@ class Adam:
     def step(self, grad, lr):
         grad = np.asarray(grad, dtype=np.float64)
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        mhat = self.m / (1.0 - self.beta1**self.t)
-        vhat = self.v / (1.0 - self.beta2**self.t)
-        return -lr * mhat / (np.sqrt(vhat) + self.eps)
+        b1, b2, t = self.beta1, self.beta2, self.t
+        if self.m.ndim == 0:
+            self.m = b1 * self.m + (1.0 - b1) * grad
+            self.v = b2 * self.v + (1.0 - b2) * grad * grad
+            mhat = self.m / (1.0 - b1**t)
+            vhat = self.v / (1.0 - b2**t)
+            return -lr * mhat / (np.sqrt(vhat) + self.eps)
+        # the same operations in the same order, in place: m and v are
+        # updated where they are, and two temporaries hold the rest
+        m, v = self.m, self.v
+        out = (1.0 - b1) * grad
+        m *= b1
+        m += out
+        np.multiply(grad, 1.0 - b2, out=out)
+        out *= grad
+        v *= b2
+        v += out
+        den = v / (1.0 - b2**t)
+        np.sqrt(den, out=den)
+        den += self.eps
+        np.divide(m, 1.0 - b1**t, out=out)
+        out *= -lr
+        out /= den
+        return out
 
 
 @dataclass

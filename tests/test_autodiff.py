@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from qatforge import nn
+from qatforge import quantizers as qz
 
 
 def _fd_grad(f, x, h=1e-6):
@@ -123,6 +124,22 @@ def test_maxpool_tie_goes_to_first_element():
     want[0, 0, 0, 0] = 3.0
     assert np.array_equal(gx, want)
 
+    # two channels, four windows, ties at different window positions; the
+    # same routing on a channels-last input and a channels-last gradient
+    x = np.zeros((1, 2, 4, 4))
+    x[0, 1] = [[0, 5, 2, 2], [1, 5, 1, 2], [7, 0, 4, 3], [0, 7, 4, 4]]
+    gy = -np.arange(1.0, 9.0).reshape(1, 2, 2, 2)
+    want = np.zeros_like(x)
+    want[0, 0, ::2, ::2] = gy[0, 0]  # channel 0 all tied: first element
+    want[0, 1, 0, 1], want[0, 1, 0, 2] = gy[0, 1, 0, 0], gy[0, 1, 0, 1]
+    want[0, 1, 2, 0], want[0, 1, 2, 2] = gy[0, 1, 1, 0], gy[0, 1, 1, 1]
+    for xin in (x, _channels_last(x)):
+        for g in (gy, _channels_last(gy)):
+            pool.forward(xin)
+            gx = pool.backward(g)
+            assert np.array_equal(gx, want)
+            assert not np.signbit(gx[gx == 0]).any()  # misses are +0.0
+
 
 def test_maxpool_rejects_indivisible():
     with pytest.raises(ValueError):
@@ -211,3 +228,61 @@ def test_forward_does_not_mutate_inputs_or_params():
     assert np.array_equal(x, x0)
     for layer, w in zip(net.param_layers, w0):
         assert np.array_equal(layer.W, w)
+
+
+def _channels_last(x):
+    """The values of x, NCHW shape, channels-last memory."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def _run_layer(layer, x, gy_layout):
+    if getattr(layer, "params", False):
+        y = layer.forward(x, layer.W, layer.b)
+    else:
+        y = layer.forward(x)
+    gy = np.random.default_rng(9).normal(0, 1, y.shape)
+    gx = layer.backward(gy_layout(gy) if gy.ndim == 4 else gy)
+    grads = (layer.gW, layer.gb) if getattr(layer, "params", False) else ()
+    return y, gx, grads
+
+
+@pytest.mark.parametrize(
+    "make,side",
+    [
+        (lambda rng: nn.Conv2d(3, 4, 3, rng=rng), 8),
+        (lambda rng: nn.Conv2d(3, 4, 3, stride=2, pad=1, rng=rng), 9),
+        (lambda rng: nn.MaxPool2d(2), 8),
+        (lambda rng: nn.Flatten(), 8),
+    ],
+    ids=["conv", "conv_stride2_pad1", "maxpool", "flatten"],
+)
+@pytest.mark.parametrize("gy_layout", [np.ascontiguousarray, _channels_last],
+                         ids=["gy_nchw", "gy_channels_last"])
+def test_layers_give_identical_results_on_either_memory_layout(make, side, gy_layout):
+    rng = np.random.default_rng(8)
+    layer = make(rng)
+    x = rng.normal(0, 1, (2, 3, side, side))
+    y0, gx0, grads0 = _run_layer(layer, x, gy_layout)
+    y1, gx1, grads1 = _run_layer(layer, _channels_last(x), gy_layout)
+    for a, b in [(y0, y1), (gx0, gx1), *zip(grads0, grads1)]:
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+def test_feature_maps_stay_channels_last():
+    """conv and pool write channels-last memory, and the elementwise steps
+    between layers keep it; the layers read it without a copy."""
+    rng = np.random.default_rng(10)
+    conv = nn.Conv2d(3, 4, 3, rng=rng)
+    pool = nn.MaxPool2d(2)
+    x = rng.normal(0, 1, (2, 3, 10, 10))
+    y = conv.forward(x, conv.W, conv.b)
+    p = pool.forward(y)
+    maps = [y, p, nn.ReLU().forward(y), qz.quantize_unsigned(p, 0.25, 4),
+            qz.ste_activation_passmask(p, 0.25, 4)]
+    gy = np.ones(p.shape)
+    g_pool = pool.backward(gy)
+    maps += [g_pool, conv.backward(g_pool)]
+    for m in maps:
+        assert m.shape[1] in (3, 4)
+        assert m.transpose(0, 2, 3, 1).flags.c_contiguous

@@ -123,7 +123,7 @@ def test_rerun_is_byte_identical(ds, float_run, tmp_path):
          "--seed", "0"]
     )
     assert rc == 0
-    for name in ("curves.csv", "accuracy.csv"):
+    for name in ("curves.csv", "accuracy.csv", "checkpoint.npz"):
         assert (out2 / name).read_bytes() == (float_run / name).read_bytes(), name
 
 

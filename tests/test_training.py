@@ -109,6 +109,39 @@ def test_adam_minimizes_quadratic():
     assert abs(x - 3.0) < 1e-3
 
 
+class _FormulaAdam:
+    """The textbook Adam update, one new array per operation."""
+
+    def __init__(self, shape, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
+        self.t = 0
+
+    def step(self, grad, lr):
+        grad = np.asarray(grad, dtype=np.float64)
+        self.t += 1
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
+        mhat = self.m / (1.0 - self.beta1**self.t)
+        vhat = self.v / (1.0 - self.beta2**self.t)
+        return -lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (5, 3, 2, 2)])
+def test_adam_matches_the_formula_bit_for_bit(shape):
+    rng = np.random.default_rng(11)
+    opt, ref = tr.Adam(shape), _FormulaAdam(shape)
+    for _ in range(5):
+        grad = rng.normal(0, 1e-2, shape)
+        if grad.ndim == 4:
+            grad = grad.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)
+        got, want = opt.step(grad, 1e-3), ref.step(grad, 1e-3)
+        for a, b in [(got, want), (opt.m, ref.m), (opt.v, ref.v)]:
+            assert np.shape(a) == np.shape(b)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 def test_lambda_gradient_direction():
     # cost C = lam*R - alpha*log(lam): in omega = log(lam) coordinates the
     # gradient is lam*R - alpha, so lambda rises while lam*R < alpha
