@@ -1,7 +1,7 @@
 """Power-of-two scales turn every rescale into an arithmetic shift.
 
 Integer inference rescales each accumulator by weight_scale * in_scale /
-out_scale. If all scales are powers of two that multiplier is 2^-s and the
+act_scale. If all scales are powers of two that multiplier is 2^-s and the
 rescale becomes add-round-shift, which is what small fixed-point hardware
 wants. Training gets there with an extra penalty, gamma times the squared
 distance of each scale to its nearest power of two, where gamma is learned

@@ -48,7 +48,7 @@ def main():
             if layer.kind == "conv":
                 acc = fx._conv_int(x, layer, dtype)
             else:
-                acc = fx._gemm(x, layer.weight_codes, layer.bias_codes, dtype)
+                acc = fx._gemm(x, layer.codes, layer.bias_codes, dtype)
             head = (f"  {i}: {layer.kind:4} {np.dtype(dtype).name:7} acc "
                     f"{acc.min():>9.0f}..{acc.max():<9.0f}")
             if layer.act_bits:

@@ -1,6 +1,7 @@
 """Quantization-aware training with learned regularization strength,
 learned per-layer scales, magnitude pruning, integer-only inference, and
-entropy-coded model archives."""
+entropy-coded model archives. The last two are the two serializations,
+FXPM and QZIP, of one quantized model, fixedpoint.FixedPointModel."""
 
 __version__ = "0.1.0"
 
@@ -80,7 +81,6 @@ from .fixedpoint import (
 )
 from .compression import (
     CompressionReport,
-    DecodedModel,
     decode_model,
     encode_model,
     huffman_build,

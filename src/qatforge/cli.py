@@ -301,38 +301,14 @@ def cmd_eval(args):
     if args.ckpt:
         acc = _eval_checkpoint(load_checkpoint(args.ckpt), data)
         name = args.ckpt
-    elif args.fxpm:
-        model = fx.load_model(args.fxpm)
-        preds = fx.predict(model, data.test_images, shift=args.shift)
-        acc = float(np.mean(preds == labels))
-        name = args.fxpm
     else:
-        decoded = cmp.decode_model(Path(args.qzip).read_bytes())
-        net = decoded.to_network()
-        tap = None
-        if decoded.act_bits:
-            # the archive describes a model with quantized junctions;
-            # rebuild the taps so eval matches the encoded function
-            from .training import LayerBits, ScaleState
-
-            n_params = len(decoded.param_layers)
-            plan = [
-                LayerBits(
-                    decoded.weight_bits,
-                    decoded.act_bits if l < n_params - 1 else None,
-                )
-                for l in range(n_params)
-            ]
-            scales = ScaleState(
-                np.array([l.weight_scale for l in decoded.param_layers]),
-                np.array(
-                    [max(l.act_scale, 1e-12) for l in decoded.param_layers]
-                ),
-                decoded.input_scale,
-            )
-            tap = QuantTap(plan, scales)
-        acc = evaluate(net, data.test_images, labels, decoded.input_scale, tap)
-        name = args.qzip
+        name = args.fxpm or args.qzip
+        if args.fxpm:
+            preds = fx.predict(fx.load_model(args.fxpm), data.test_images, shift=args.shift)
+        else:
+            model = cmp.decode_model(Path(args.qzip).read_bytes())
+            preds = np.argmax(fx.simulate_float(model, data.test_images), axis=1)
+        acc = float(np.mean(preds == labels))
     print(f"{name}: accuracy {acc:.4f}")
     return 0
 

@@ -10,7 +10,10 @@ zeros indistinguishable on purpose, both are free. Biases, scales, geometry
 and the code tables ride uncompressed in the header and are charged to the
 compressed size. decode restores every code and position exactly.
 
-The byte layout is written down in docs/formats.md; save/load round-trips
+An archive is the second serialization of fixedpoint.FixedPointModel, next
+to FXPM: encode_model builds the model with FixedPointModel.from_network and
+decode_model returns one, and both formats share its layer records. The
+byte layout is written down in docs/formats.md; encode/decode round-trips
 bit-exactly and the report's component accounting sums to the file size.
 """
 
@@ -18,21 +21,25 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import struct
 
 import numpy as np
 
-from . import quantizers as qz
-from .fixedpoint import _KIND_TAGS, _TAG_KINDS, FormatError, _bad_scale, _Cursor
+from .fixedpoint import (
+    FixedPointModel,
+    FormatError,
+    _bad_scale,
+    _Cursor,
+    _write_record,
+    code_range,
+)
 
 MAGIC = b"QZIP"
 VERSION = 1
 GAP_CONT = 255  # continuation token of the gap alphabet
 MAX_WEIGHT_BITS = 8  # weight codes are i8 symbols of the code table
 MAX_LAYER_WEIGHTS = 1 << 26  # zeros are free, so the size fields alone bound a layer
-
-_GEOMETRY = {"conv": "<HHBBB", "fc": "<II", "maxpool": "<B"}
 
 
 # --- canonical Huffman ------------------------------------------------------
@@ -191,58 +198,6 @@ def _read_varint(buf, pos):
 # --- archive ----------------------------------------------------------------
 
 
-@dataclass
-class ArchiveLayer:
-    kind: str
-    geometry: tuple  # conv: (in_ch, out_ch, k, stride, pad); fc: (in, out); pool: (size,)
-    codes: np.ndarray | None = None  # full-shape integer codes, zeros included
-    bias_codes: np.ndarray | None = None
-    weight_scale: float = 0.0
-    bias_step: float = 0.0
-    act_scale: float = 0.0  # 0 = output not quantized
-
-
-@dataclass
-class DecodedModel:
-    weight_bits: int
-    act_bits: int
-    input_scale: float
-    layers: list = field(default_factory=list)
-    header_bytes: int = 0  # magic through the last topology entry
-    table_bytes: int = 0  # the two code tables
-
-    @property
-    def param_layers(self):
-        return [l for l in self.layers if l.kind in ("conv", "fc")]
-
-    def to_network(self):
-        """Rebuild a float network carrying the exact dequantized values."""
-        from .models import net_from_spec
-
-        spec = []
-        for l in self.layers:
-            if l.kind == "conv":
-                spec.append(["conv", *l.geometry])
-            elif l.kind == "fc":
-                spec.append(["linear", *l.geometry])
-            elif l.kind == "maxpool":
-                spec.append(["maxpool", l.geometry[0]])
-            else:
-                spec.append([l.kind])
-        net = net_from_spec(spec)
-        for src, dst in zip(self.param_layers, net.param_layers):
-            dst.W = src.codes.astype(np.float64) * src.weight_scale
-            dst.b = src.bias_codes.astype(np.float64) * src.bias_step
-        return net
-
-
-def _weight_shape(kind, geometry):
-    if kind == "conv":
-        in_ch, out_ch, k, _, _ = geometry
-        return (out_ch, in_ch, k, k)
-    return (geometry[1], geometry[0])
-
-
 def _gap_tokens(gap):
     while gap >= GAP_CONT:
         yield GAP_CONT
@@ -250,60 +205,42 @@ def _gap_tokens(gap):
     yield gap
 
 
-def _layer_entries(net, scales, plan):
-    """Per param layer: (codes, bias codes, delta, bias step), refusing
-    weights off the grid."""
-    from .training import bias_grid_step
-
-    entries = []
-    for l, layer in enumerate(net.param_layers):
-        bits = plan[l].weights
-        if bits is None:
+def encode_model(net, masks, scales, plan):
+    """Archive bytes for a pruned+quantized network. masks (keep=True) are
+    checked against the zeros rather than stored: pruned positions must have
+    code 0, and decode recovers them as zeros."""
+    for l in range(len(net.param_layers)):
+        if plan[l].weights is None:
             raise ValueError(f"layer {l} is unquantized; nothing to encode")
-        d = float(scales.weight_scales[l])
-        code = np.asarray(qz.code_signed(layer.W, d, bits), dtype=np.int64)
-        err = np.abs(layer.W - d * code.astype(np.float64))
-        if err.size and err.max() > 1e-9 * d:
+    model = FixedPointModel.from_network(net, scales, plan)
+    layers = model.param_layers
+    for l, (src, q) in enumerate(zip(net.param_layers, layers)):
+        err = np.abs(src.W - q.weights())
+        if err.size and err.max() > 1e-9 * q.weight_scale:
             raise ValueError(
                 f"layer {l}: weights are not at quantization levels "
                 f"(max residual {err.max():.3e}); run the training ramp to "
                 "termination first"
             )
-        step = bias_grid_step(plan, scales, l)
-        bcode = np.asarray(qz.round_half_away(layer.b / step), dtype=np.int64)
-        berr = np.abs(layer.b - step * bcode.astype(np.float64))
-        if berr.size and berr.max() > 1e-9 * step:
+        berr = np.abs(src.b - q.biases())
+        if berr.size and berr.max() > 1e-9 * q.bias_step:
             raise ValueError(f"layer {l}: biases are not on the bias grid")
-        entries.append((code, bcode, d, step))
-    return entries
-
-
-def encode_model(net, masks, scales, plan):
-    """Archive bytes for a pruned+quantized network. masks (keep=True) are
-    checked against the zeros rather than stored: pruned positions must have
-    code 0, and decode recovers them as zeros."""
-    from .models import net_spec
-
-    entries = _layer_entries(net, scales, plan)
-    wbits = {plan[l].weights for l in range(len(entries))}
-    if len(wbits) != 1:
+    if len({q.weight_bits for q in layers}) != 1:
         raise ValueError("all layers must share one weight bit-width")
-    weight_bits = wbits.pop()
+    weight_bits = model.weight_bits
     if not 1 <= weight_bits <= MAX_WEIGHT_BITS:
         raise ValueError(
             f"{weight_bits}-bit weights do not fit the 8-bit weight-code table "
             f"of QZIP; it holds 1..{MAX_WEIGHT_BITS}-bit weights"
         )
-    if any(code.size > MAX_LAYER_WEIGHTS for code, _, _, _ in entries):
+    if any(q.codes.size > MAX_LAYER_WEIGHTS for q in layers):
         raise ValueError(f"QZIP layers hold at most {MAX_LAYER_WEIGHTS} weights")
-    abits = {plan[l].acts for l in range(len(entries)) if plan[l].acts is not None}
-    if len(abits) > 1:
+    if len({q.act_bits for q in layers if q.act_bits}) > 1:
         raise ValueError("all quantized outputs must share one bit-width")
-    act_bits = abits.pop() if abits else 0
 
     if masks is not None:
-        for l, (code, _, _, _) in enumerate(entries):
-            if np.any(code[~masks[l]] != 0):
+        for l, q in enumerate(layers):
+            if np.any(q.codes[~masks[l]] != 0):
                 raise ValueError(
                     f"layer {l}: mask marks positions as pruned but their "
                     "codes are nonzero"
@@ -312,8 +249,8 @@ def encode_model(net, masks, scales, plan):
     code_counts = {}
     gap_counts = {}
     per_layer = []
-    for code, _, _, _ in entries:
-        flat = code.ravel()
+    for q in layers:
+        flat = q.codes.ravel()
         idx = np.flatnonzero(flat)
         per_layer.append((flat, idx))
         prev = -1
@@ -330,29 +267,19 @@ def encode_model(net, masks, scales, plan):
     out = bytearray()
     out += MAGIC
     out += struct.pack(
-        "<HBBBd",
-        VERSION,
-        len(net.layers),
-        weight_bits,
-        act_bits,
-        float(scales.input_scale),
+        "<HBBBd", VERSION, len(model.layers), weight_bits, model.act_bits,
+        model.input_scale,
     )
     pidx = 0
-    for entry in net_spec(net):
-        kind = entry[0]
-        name = "fc" if kind == "linear" else kind
-        out += struct.pack("<B", _KIND_TAGS[name])
-        out += struct.pack(_GEOMETRY.get(name, "<"), *entry[1:])
-        if kind in ("conv", "linear"):
-            code, bcode, d, step = entries[pidx]
-            _, idx = per_layer[pidx]
-            act_scale = (
-                float(scales.act_scales[pidx]) if plan[pidx].acts is not None else 0.0
-            )
+    for q in model.layers:
+        _write_record(out, q)
+        if q.kind in ("conv", "fc"):
+            nnz = len(per_layer[pidx][1])
             out += struct.pack(
-                "<dddII", d, step, act_scale, len(idx), bcode.size
+                "<dddII", q.weight_scale, q.bias_step, q.act_scale, nnz,
+                q.bias_codes.size,
             )
-            for v in bcode:
+            for v in q.bias_codes:
                 _write_varint(out, v)
             pidx += 1
     header_bytes = len(out)
@@ -385,10 +312,17 @@ def encode_model(net, masks, scales, plan):
 
 
 def decode_model(archive):
-    """Rebuild the exact codes, positions, scales and topology. Every
-    malformed archive raises ValueError; every count is checked against the
-    geometry before anything is allocated from it, and every scale must be
-    positive and finite (act_scale may also be 0, for no requantization)."""
+    """The FixedPointModel an archive holds: the exact codes, positions,
+    scales and topology. Every malformed archive raises ValueError; every
+    count is checked against the geometry before anything is allocated from
+    it, every scale must be positive and finite (act_scale may also be 0,
+    for no requantization), and each bias_step must be weight_scale times
+    the layer's input step."""
+    return _decode(archive)[0]
+
+
+def _decode(archive):
+    """decode_model, plus the byte sizes of the header and of the tables."""
     cur = _Cursor(bytes(archive))
     (magic,) = cur.take("<4s")
     if magic != MAGIC:
@@ -400,19 +334,14 @@ def decode_model(archive):
         raise FormatError(f"weight bit-width {weight_bits} outside 1..{MAX_WEIGHT_BITS}")
     if _bad_scale(input_scale):
         raise FormatError(f"input scale {input_scale!r} is not positive and finite")
-    model = DecodedModel(
-        weight_bits=weight_bits, act_bits=act_bits, input_scale=input_scale
-    )
+    model = FixedPointModel(input_scale=input_scale)
     nnz_list = []
+    in_scale = input_scale  # the input step of the next parameter layer
     for i in range(n_layers):
-        (tag,) = cur.take("<B")
-        kind = _TAG_KINDS.get(tag)
-        if kind is None:
-            raise FormatError(f"unknown layer kind tag {tag}")
-        layer = ArchiveLayer(kind=kind, geometry=cur.take(_GEOMETRY.get(kind, "<")))
-        if kind in ("conv", "fc"):
+        layer = cur.take_record(i)
+        if layer.kind in ("conv", "fc"):
             d, step, act_scale, nnz, n_bias = cur.take("<dddII")
-            shape = _weight_shape(kind, layer.geometry)
+            shape = layer.weight_shape
             size = math.prod(shape)
             if not 1 <= size <= MAX_LAYER_WEIGHTS:
                 raise FormatError(f"layer {i}: {size} weights, outside 1..{MAX_LAYER_WEIGHTS}")
@@ -423,7 +352,16 @@ def decode_model(archive):
             # act_scale 0.0 marks an output that is not requantized
             if any(_bad_scale(v) for v in (d, step, act_scale or 1.0)):
                 raise FormatError(f"layer {i}: a scale is not positive and finite")
-            layer.weight_scale, layer.bias_step, layer.act_scale = d, step, act_scale
+            if act_scale and not act_bits:
+                raise FormatError(f"layer {i}: act_scale set, but act_bits is 0")
+            layer.weight_bits, layer.act_bits = weight_bits, act_bits if act_scale else 0
+            layer.weight_scale, layer.in_scale, layer.act_scale = d, in_scale, act_scale
+            if step != layer.bias_step:
+                raise FormatError(
+                    f"layer {i}: bias_step {step!r} is not weight_scale times "
+                    f"the input step {in_scale!r}"
+                )
+            in_scale = act_scale or 1.0
             bias = []
             for _ in range(n_bias):
                 v, cur.pos = _read_varint(cur.buf, cur.pos)
@@ -431,7 +369,7 @@ def decode_model(archive):
             layer.bias_codes = np.array(bias, dtype=np.int64)
             nnz_list.append(nnz)
         model.layers.append(layer)
-    model.header_bytes = cur.pos
+    header_bytes = cur.pos
 
     tables = []
     for fmt in ("<bB", "<BB"):
@@ -443,7 +381,7 @@ def decode_model(archive):
                 raise FormatError(f"invalid code length {length}")
             lengths[sym] = length
         tables.append(canonical_from_lengths(lengths) if lengths else {})
-    model.table_bytes = cur.pos - model.header_bytes
+    table_bytes = cur.pos - header_bytes
     code_table, gap_table = tables
     for name, table in (("weight-code", code_table), ("gap", gap_table)):
         kraft = sum(2.0 ** -l for _, l in table.values())
@@ -463,11 +401,9 @@ def decode_model(archive):
     reader = BitReader(payload)
     code_dec = _Decoder(code_table)
     gap_dec = _Decoder(gap_table)
-    half = 2 ** (weight_bits - 1)
-    lo, hi = (-1, 1) if weight_bits == 1 else (-half, half - 1)
+    lo, hi = code_range(weight_bits)
     for layer, nnz in zip(model.param_layers, nnz_list):
-        shape = _weight_shape(layer.kind, layer.geometry)
-        flat = np.zeros(math.prod(shape), dtype=np.int64)
+        flat = np.zeros(math.prod(layer.weight_shape), dtype=np.int64)
         prev = -1
         for _ in range(nnz):
             gap = 0
@@ -486,8 +422,8 @@ def decode_model(archive):
                 raise FormatError(f"decoded weight code {sym} out of range")
             flat[i] = sym
             prev = i
-        layer.codes = flat.reshape(shape)
-    return model
+        layer.codes = flat.reshape(layer.weight_shape)
+    return model, header_bytes, table_bytes
 
 
 # --- accounting -------------------------------------------------------------
@@ -522,7 +458,7 @@ def report(archive, float_weights):
     model); zeros there are pruning zeros, zeros among the decoded codes add
     the quantization-induced ones.
     """
-    decoded = decode_model(archive)
+    decoded, header, tables = _decode(archive)
     n_weights = sum(int(w.size) for w in float_weights)
     n_dec = sum(int(l.codes.size) for l in decoded.param_layers)
     if n_weights != n_dec:
@@ -533,7 +469,6 @@ def report(archive, float_weights):
     zeros_before = sum(int(np.sum(w == 0.0)) for w in float_weights)
     zeros_after = sum(int(np.sum(l.codes == 0)) for l in decoded.param_layers)
 
-    header, tables = decoded.header_bytes, decoded.table_bytes
     component_bits = {
         "header": 8 * header,
         "tables": 8 * tables,

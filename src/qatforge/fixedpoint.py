@@ -1,13 +1,20 @@
-"""Integer-only inference.
+"""The quantized-model IR and integer-only inference.
 
-A converted model stores per-layer integer weight codes, integer biases on
-the delta*Delta_in grid, and the three scales that tie them together. One
-layer runs as: integer accumulate, integer bias add, one combined rescale
-delta*Delta_in/Delta_out with round-half-away-from-zero, clip to the
-unsigned activation range (which also plays the role of ReLU), and the codes
-feed the next layer. The final layer skips requantization and emits real
-logits scaled by delta*Delta_in. When every scale is a power of two the
-rescale collapses to an arithmetic shift (infer_shift).
+FixedPointModel is the one representation of a quantized network: per
+layer its geometry, integer weight codes, integer biases on the
+weight_scale * in_scale grid, and the scales that tie them together.
+FixedPointModel.from_network builds it from a trained float network, its
+scales and its bit plan; convert (here) and compression.encode_model both
+start from it. Its two serializations are FXPM (save_model/load_model,
+below), ready for integer-only inference, and the QZIP archive (compression),
+entropy-coded and sparse; they share the layer records of docs/formats.md.
+
+One layer runs as: integer accumulate, integer bias add, one combined
+rescale weight_scale*in_scale/act_scale with round-half-away-from-zero, clip
+to the unsigned activation range (which also plays the role of ReLU), and
+the codes feed the next layer. The final layer skips requantization and
+emits real logits scaled by weight_scale*in_scale. When every scale is a
+power of two the rescale collapses to an arithmetic shift (infer_shift).
 
 The accumulator contract is 32-bit signed: accumulator_bound gives
 fan_in * 2^(n-1) * (2^m - 1) + max|bias| per layer, convert and load_model
@@ -18,9 +25,8 @@ every partial sum is an integer no larger than the bound, so a float32 GEMM
 is exact below 2^24 and a float64 GEMM below 2^53, and both run on BLAS.
 int64 is left for wider hand-built layers.
 
-simulate_float evaluates the same network in real arithmetic with the
-quantizers applied, mirroring the training-time quantized forward; it is the
-equivalence oracle for infer.
+simulate_float runs the same model in real arithmetic: to_network() through
+the training-time quantizer tap. It is the equivalence oracle for infer.
 """
 
 from __future__ import annotations
@@ -32,15 +38,32 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quantizers as qz
-from .nn import Conv2d, Linear, MaxPool2d, im2col, max_pool
+from .models import net_from_spec, net_spec
+from .nn import im2col, max_pool
+from .training import LayerBits, QuantTap, ScaleState
 
 INT32_MAX = 2**31 - 1
 MAGIC = b"FXPM"
 VERSION = 1
 SHIFT_NONE = -(2**15)  # sentinel in the i16 shift slot
 
-_KIND_TAGS = {"conv": 1, "fc": 2, "relu": 3, "maxpool": 4, "flatten": 5}
-_TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
+# kind: (tag, geometry format, geometry fields) of a layer record, the same
+# in FXPM and QZIP (docs/formats.md)
+_RECORDS = {
+    "conv": (1, "<HHBBB", ("in_ch", "out_ch", "ksize", "stride", "pad")),
+    "fc": (2, "<II", ("in_features", "out_features")),
+    "relu": (3, "<", ()),
+    "maxpool": (4, "<B", ("size",)),
+    "flatten": (5, "<", ()),
+}
+_TAG_KINDS = {tag: kind for kind, (tag, _, _) in _RECORDS.items()}
+
+
+def code_range(bits):
+    """Lowest and highest signed weight code of a bit-width; binary weights
+    are the two codes -1 and +1."""
+    half = 2 ** (bits - 1)
+    return (-1, 1) if bits == 1 else (-half, half - 1)
 
 
 @dataclass
@@ -61,13 +84,14 @@ class IntTensor:
             )
 
     def range(self):
-        if self.signed:
-            return -(2 ** (self.bits - 1)), 2 ** (self.bits - 1) - 1
-        return 0, 2**self.bits - 1
+        return code_range(self.bits) if self.signed else (0, 2**self.bits - 1)
 
 
 @dataclass
 class FxLayer:
+    """One layer of the IR: the geometry of its kind and, for conv and fc,
+    the codes, bit-widths and scales."""
+
     kind: str
     # conv geometry
     in_ch: int = 0
@@ -81,34 +105,106 @@ class FxLayer:
     # pool geometry
     size: int = 0
     # parameters (conv/fc only)
-    weight_codes: np.ndarray | None = None
+    codes: np.ndarray | None = None  # full-shape weight codes, zeros included
     bias_codes: np.ndarray | None = None
     weight_bits: int = 0
-    act_bits: int = 0  # 0 = final layer, no requantization
+    act_bits: int = 0  # 0 = output not requantized (the final layer)
     weight_scale: float = 0.0
-    in_scale: float = 0.0
-    out_scale: float = 0.0
+    in_scale: float = 0.0  # real value of one input code step
+    act_scale: float = 0.0  # real value of one output code step; 0.0 when act_bits = 0
     shift: int | None = None
 
     @property
-    def multiplier(self):
-        return self.weight_scale * self.in_scale / self.out_scale
+    def logit_scale(self):
+        """Real value of one accumulator step, and so of one bias code."""
+        return self.weight_scale * self.in_scale
 
     @property
-    def logit_scale(self):
-        return self.weight_scale * self.in_scale
+    def bias_step(self):
+        return self.logit_scale
+
+    @property
+    def multiplier(self):
+        return self.logit_scale / self.act_scale
+
+    @property
+    def weight_shape(self):
+        if self.kind == "conv":
+            return (self.out_ch, self.in_ch, self.ksize, self.ksize)
+        return (self.out_features, self.in_features)
+
+    def weights(self):
+        return self.codes.astype(np.float64) * self.weight_scale
+
+    def biases(self):
+        return self.bias_codes.astype(np.float64) * self.bias_step
 
 
 @dataclass
 class FixedPointModel:
+    """The quantized-model IR; input codes are uint8 pixels unless
+    input_bits says otherwise."""
+
     input_scale: float
-    input_bits: int
+    input_bits: int = 8
     layers: list = field(default_factory=list)
     shift_only: bool = False
 
     @property
     def param_layers(self):
         return [l for l in self.layers if l.kind in ("conv", "fc")]
+
+    @property
+    def weight_bits(self):
+        """The widest weight bit-width; a QZIP archive has one for all."""
+        return max((l.weight_bits for l in self.param_layers), default=0)
+
+    @property
+    def act_bits(self):
+        """The widest activation bit-width, 0 when no output is requantized;
+        a QZIP archive has one for all requantized outputs."""
+        return max((l.act_bits for l in self.param_layers), default=0)
+
+    @classmethod
+    def from_network(cls, net, scales, plan):
+        """The model a trained network, its scales and its bit plan define:
+        weight codes code_signed(W), bias codes round(b / bias_step), and an
+        input step per layer of input_scale, the previous layer's act_scale,
+        or 1.0 after an output left in float. Every layer needs a weight
+        bit-width. It refuses nothing else; convert and encode_model check
+        the network against it by their own rules."""
+        model = cls(input_scale=float(scales.input_scale))
+        params, pidx, in_scale = net.param_layers, 0, model.input_scale
+        for entry in net_spec(net):
+            kind = "fc" if entry[0] == "linear" else entry[0]
+            layer = FxLayer(kind, **dict(zip(_RECORDS[kind][2], entry[1:])))
+            if kind in ("conv", "fc"):
+                p = plan[pidx]
+                layer.weight_bits, layer.act_bits = p.weights, p.acts or 0
+                layer.weight_scale = float(scales.weight_scales[pidx])
+                layer.in_scale = in_scale
+                if p.acts is not None:
+                    layer.act_scale = float(scales.act_scales[pidx])
+                code = qz.code_signed(params[pidx].W, layer.weight_scale, p.weights)
+                layer.codes = code.astype(np.int64)
+                bias = qz.round_half_away(params[pidx].b / layer.bias_step)
+                layer.bias_codes = bias.astype(np.int64)
+                in_scale = layer.act_scale if p.acts is not None else 1.0
+                pidx += 1
+            model.layers.append(layer)
+        return model
+
+    def to_network(self):
+        """A float network carrying the exact dequantized values."""
+        spec = [
+            ["linear" if l.kind == "fc" else l.kind,
+             *(getattr(l, f) for f in _RECORDS[l.kind][2])]
+            for l in self.layers
+        ]
+        net = net_from_spec(spec)
+        for src, dst in zip(self.param_layers, net.param_layers):
+            dst.W, dst.b = src.weights(), src.biases()
+        return net
 
 
 def encode_input(images, model: FixedPointModel):
@@ -122,15 +218,6 @@ def encode_input(images, model: FixedPointModel):
     return IntTensor(codes, model.input_bits, signed=False)
 
 
-def _plan_from_spec(num_layers, spec: qz.QuantSpec):
-    from .training import LayerBits
-
-    return [
-        LayerBits(spec.weight_bits, spec.act_bits if l < num_layers - 1 else None)
-        for l in range(num_layers)
-    ]
-
-
 def _shift_exponent(x):
     """s with x == 2**(-s), or None."""
     if x <= 0 or not qz.is_pow2(x):
@@ -138,7 +225,7 @@ def _shift_exponent(x):
     return -int(np.frexp(x)[1] - 1)
 
 
-def convert(net, scales, plan_or_spec):
+def convert(net, scales, plan):
     """Freeze a trained float network into a FixedPointModel.
 
     Refuses when any weight sits farther than 0.25*delta from its nearest
@@ -146,14 +233,7 @@ def convert(net, scales, plan_or_spec):
     would change the function. Also refuses layers left unquantized by the
     plan, and statically checks the 32-bit accumulator bound.
     """
-    from .models import net_spec
-    from .training import bias_grid_step
-
-    params = net.param_layers
-    if isinstance(plan_or_spec, qz.QuantSpec):
-        plan = _plan_from_spec(len(params), plan_or_spec)
-    else:
-        plan = list(plan_or_spec)
+    plan = list(plan)
     for l, p in enumerate(plan):
         if p.weights is None:
             raise ValueError(
@@ -165,74 +245,29 @@ def convert(net, scales, plan_or_spec):
                 f"layer {l} has no activation bit-width: inter-layer codes "
                 "would be undefined"
             )
-
-    input_bits = 8
-    model = FixedPointModel(
-        input_scale=float(scales.input_scale), input_bits=input_bits
-    )
-    pidx = 0
-    din, m_in = float(scales.input_scale), input_bits  # the next layer's input
-    shift_ok = True
-    for entry in net_spec(net):
-        kind = entry[0]
-        if kind in ("conv", "linear"):
-            layer = params[pidx]
-            n = plan[pidx].weights
-            d = float(scales.weight_scales[pidx])
-            m = plan[pidx].acts
-            w = layer.W
-            wq = qz.quantize_signed(w, d, n)
-            worst = float(np.max(np.abs(w - wq))) if w.size else 0.0
-            if worst > 0.25 * d:
-                raise ValueError(
-                    f"layer {pidx} not converged: max weight distance from a "
-                    f"level is {worst:.3e} > 0.25*delta = {0.25 * d:.3e}"
-                )
-            codes = np.asarray(qz.code_signed(w, d, n), dtype=np.int64)
-            if not np.array_equal(codes * d, np.asarray(wq)):
-                raise ValueError(f"layer {pidx}: codes do not reproduce levels")
-            step = bias_grid_step(plan, scales, pidx)
-            bias = np.asarray(qz.round_half_away(layer.b / step), dtype=np.int64)
-            if not np.array_equal(bias * step, np.asarray(qz.snap_to_grid(layer.b, step))):
-                raise ValueError(f"layer {pidx}: bias codes do not reproduce grid")
-            if bias.size and np.abs(bias).max() > INT32_MAX:
-                raise ValueError(f"layer {pidx}: bias codes exceed 32-bit range")
-            dout = float(scales.act_scales[pidx]) if m is not None else 0.0
-            fx = FxLayer(
-                kind="conv" if kind == "conv" else "fc",
-                weight_codes=codes,
-                bias_codes=bias,
-                weight_bits=n,
-                act_bits=m if m is not None else 0,
-                weight_scale=d,
-                in_scale=din,
-                out_scale=dout,
+    model = FixedPointModel.from_network(net, scales, plan)
+    in_bits = model.input_bits
+    for l, (src, fx) in enumerate(zip(net.param_layers, model.param_layers)):
+        d = fx.weight_scale
+        worst = float(np.max(np.abs(src.W - fx.weights()))) if src.W.size else 0.0
+        if worst > 0.25 * d:
+            raise ValueError(
+                f"layer {l} not converged: max weight distance from a "
+                f"level is {worst:.3e} > 0.25*delta = {0.25 * d:.3e}"
             )
-            if kind == "conv":
-                fx.in_ch, fx.out_ch, fx.ksize = layer.in_ch, layer.out_ch, layer.ksize
-                fx.stride, fx.pad = layer.stride, layer.pad
-            else:
-                fx.in_features, fx.out_features = layer.in_features, layer.out_features
-            bound = accumulator_bound(fx, m_in)
-            if bound > INT32_MAX:
-                raise ValueError(
-                    f"layer {pidx}: worst-case accumulator {bound} exceeds "
-                    f"32-bit range {INT32_MAX}"
-                )
-            mult = fx.multiplier if m is not None else fx.logit_scale
-            fx.shift = _shift_exponent(mult)
-            shift_ok = shift_ok and fx.shift is not None
-            model.layers.append(fx)
-            pidx += 1
-            din, m_in = dout, m
-        elif kind in ("maxpool", "relu", "flatten"):
-            size = entry[1] if kind == "maxpool" else 0
-            model.layers.append(FxLayer(kind=kind, size=size))
-        else:
-            raise ValueError(f"cannot convert layer kind {kind!r}")
-    model.shift_only = shift_ok
-    if not shift_ok:
-        for fx in model.layers:
+        if fx.bias_codes.size and np.abs(fx.bias_codes).max() > INT32_MAX:
+            raise ValueError(f"layer {l}: bias codes exceed 32-bit range")
+        bound = accumulator_bound(fx, in_bits)
+        if bound > INT32_MAX:
+            raise ValueError(
+                f"layer {l}: worst-case accumulator {bound} exceeds "
+                f"32-bit range {INT32_MAX}"
+            )
+        fx.shift = _shift_exponent(fx.multiplier if fx.act_bits else fx.logit_scale)
+        in_bits = fx.act_bits
+    model.shift_only = all(fx.shift is not None for fx in model.param_layers)
+    if not model.shift_only:
+        for fx in model.param_layers:
             fx.shift = None
     return model
 
@@ -265,7 +300,7 @@ def _conv_int(x, fx: FxLayer, dtype):
     run over (kh, kw, c), the weights are permuted to match, and an exact
     sum does not depend on the order."""
     cols, ho, wo = im2col(x.astype(dtype, copy=False), fx.ksize, fx.stride, fx.pad)
-    w = fx.weight_codes.transpose(0, 2, 3, 1)
+    w = fx.codes.transpose(0, 2, 3, 1)
     acc = _gemm(cols, w, fx.bias_codes, dtype)
     return acc.reshape(x.shape[0], ho, wo, -1)
 
@@ -317,7 +352,7 @@ def _run_int(model: FixedPointModel, codes, in_bits, shift, debug):
             if fx.kind == "conv":
                 acc = _conv_int(x, fx, dtype)
             else:
-                acc = _gemm(x, fx.weight_codes, fx.bias_codes, dtype)
+                acc = _gemm(x, fx.codes, fx.bias_codes, dtype)
             if debug and acc.size and np.abs(acc).max() > INT32_MAX:
                 raise OverflowError(
                     f"accumulator {np.abs(acc).max()} exceeds the declared "
@@ -366,46 +401,27 @@ def infer_shift(model: FixedPointModel, inp, batch=512, debug=False):
 
 
 def simulate_float(model: FixedPointModel, images, batch=512):
-    """The same network in real arithmetic with quantizers applied: real
-    grid weights, real accumulation, requantization as
-    Delta*clip(round(y/Delta)). This is the training-time quantized forward
-    restricted to inference, and the oracle infer must agree with."""
-    ops = []  # the float layers, built once for all batches
-    for fx in model.layers:
-        if fx.kind in ("conv", "fc"):
-            if fx.kind == "conv":
-                op = Conv2d(fx.in_ch, fx.out_ch, fx.ksize, fx.stride, fx.pad)
-            else:
-                op = Linear(fx.in_features, fx.out_features)
-            op.W = fx.weight_codes.astype(np.float64) * fx.weight_scale
-            op.b = fx.bias_codes.astype(np.float64) * (fx.weight_scale * fx.in_scale)
-        else:
-            op = MaxPool2d(fx.size) if fx.kind == "maxpool" else None
-        ops.append(op)
-
-    x_all = np.asarray(images, dtype=np.float64)
-    if x_all.ndim == 3:
-        x_all = x_all.reshape(x_all.shape[0], 1, x_all.shape[1], x_all.shape[2])
-    x_all = x_all * model.input_scale
-
-    outs = []
-    for s in range(0, x_all.shape[0], batch):
-        x, prev = x_all[s : s + batch], None
-        for fx, op in zip(model.layers, ops):
-            if fx.kind in ("conv", "fc"):
-                # requantize at the next layer's input, as the training tap
-                # does: the quantizer is monotone, so pooling first gives the
-                # same values from a quarter of the work
-                if prev is not None and prev.act_bits:
-                    x = qz.quantize_unsigned(x, prev.out_scale, prev.act_bits)
-                x, prev = op.forward(x, op.W, op.b), fx
-            elif fx.kind == "maxpool":
-                x = op.forward(x)
-            elif fx.kind == "relu":
-                x = np.maximum(x, 0.0)
-            elif fx.kind == "flatten":
-                x = x.reshape(x.shape[0], -1)
-        outs.append(x)
+    """The same network in real arithmetic with quantizers applied: the
+    training-time quantized forward, to_network() through a QuantTap, and
+    the oracle infer must agree with. to_network() already holds the grid
+    values of the weights and biases, so the tap only requantizes each
+    junction, where the next layer reads it, after any max-pool; the
+    quantizer is monotone, so pooling first gives the same values."""
+    params = model.param_layers
+    tap = QuantTap(
+        [LayerBits(None, l.act_bits or None) for l in params],
+        ScaleState(
+            np.array([l.weight_scale for l in params]),
+            np.array([l.act_scale for l in params]),
+            model.input_scale,
+        ),
+    )
+    net = model.to_network()
+    x = np.asarray(images, dtype=np.float64)
+    if x.ndim == 3:
+        x = x.reshape(x.shape[0], 1, x.shape[1], x.shape[2])
+    x = x * model.input_scale
+    outs = [net.forward(x[s : s + batch], tap) for s in range(0, x.shape[0], batch)]
     return np.concatenate(outs, axis=0)
 
 
@@ -421,6 +437,13 @@ def _code_dtype(bits):
     return "<i1" if bits <= 8 else "<i2"
 
 
+def _write_record(out, layer):
+    """A layer record's kind tag and geometry, shared with QZIP."""
+    tag, fmt, fields = _RECORDS[layer.kind]
+    out += struct.pack("<B", tag)
+    out += struct.pack(fmt, *(getattr(layer, f) for f in fields))
+
+
 def save_model(path_or_none, model: FixedPointModel):
     """Serialize to the FXPM container; returns the bytes, and writes them
     if a path is given. Round-trips byte-exactly."""
@@ -429,14 +452,7 @@ def save_model(path_or_none, model: FixedPointModel):
     out += struct.pack("<HBBdH", VERSION, int(model.shift_only),
                        model.input_bits, model.input_scale, len(model.layers))
     for fx in model.layers:
-        out += struct.pack("<B", _KIND_TAGS[fx.kind])
-        if fx.kind == "conv":
-            out += struct.pack("<HHBBB", fx.in_ch, fx.out_ch, fx.ksize,
-                               fx.stride, fx.pad)
-        elif fx.kind == "fc":
-            out += struct.pack("<II", fx.in_features, fx.out_features)
-        elif fx.kind == "maxpool":
-            out += struct.pack("<B", fx.size)
+        _write_record(out, fx)
         if fx.kind in ("conv", "fc"):
             shift = SHIFT_NONE if fx.shift is None else fx.shift
             out += struct.pack(
@@ -445,12 +461,12 @@ def save_model(path_or_none, model: FixedPointModel):
                 fx.act_bits,
                 fx.weight_scale,
                 fx.in_scale,
-                fx.out_scale,
+                fx.act_scale,
                 shift,
-                fx.weight_codes.size,
+                fx.codes.size,
                 fx.bias_codes.size,
             )
-            out += fx.weight_codes.astype(_code_dtype(fx.weight_bits)).tobytes()
+            out += fx.codes.astype(_code_dtype(fx.weight_bits)).tobytes()
             out += fx.bias_codes.astype("<i4").tobytes()
     blob = bytes(out)
     if path_or_none is not None:
@@ -495,8 +511,22 @@ class _Cursor:
         self.pos += size
         return arr.astype(np.int64)
 
+    def take_record(self, i):
+        """A layer record's kind tag and geometry, as a layer without
+        parameters."""
+        (tag,) = self.take("<B")
+        kind = _TAG_KINDS.get(tag)
+        if kind is None:
+            raise FormatError(f"layer {i}: unknown kind tag {tag}")
+        _, fmt, fields = _RECORDS[kind]
+        return FxLayer(kind, **dict(zip(fields, self.take(fmt))))
+
 
 def load_model(path_or_bytes):
+    """Read an FXPM container. Every malformed file raises FormatError: each
+    count is checked against the geometry and the bytes left before anything
+    is allocated from it, and each layer's in_scale must be the previous
+    layer's act_scale (input_scale for the first)."""
     if isinstance(path_or_bytes, (bytes, bytearray)):
         buf = bytes(path_or_bytes)
     else:
@@ -514,37 +544,36 @@ def load_model(path_or_bytes):
     model = FixedPointModel(
         input_scale=input_scale, input_bits=input_bits, shift_only=bool(shift_only)
     )
-    in_bits = input_bits
+    in_bits, in_scale = input_bits, input_scale
     for i in range(n_layers):
-        (tag,) = cur.take("<B")
-        kind = _TAG_KINDS.get(tag)
-        if kind is None:
-            raise FormatError(f"layer {i}: unknown kind tag {tag}")
-        fx = FxLayer(kind=kind)
-        if kind == "conv":
-            fx.in_ch, fx.out_ch, fx.ksize, fx.stride, fx.pad = cur.take("<HHBBB")
-        elif kind == "fc":
-            fx.in_features, fx.out_features = cur.take("<II")
-        elif kind == "maxpool":
-            (fx.size,) = cur.take("<B")
-        if kind in ("conv", "fc"):
+        fx = cur.take_record(i)
+        if fx.kind in ("conv", "fc"):
             (fx.weight_bits, fx.act_bits, fx.weight_scale, fx.in_scale,
-             fx.out_scale, shift, n_w, n_b) = cur.take("<BBdddhII")
+             fx.act_scale, shift, n_w, n_b) = cur.take("<BBdddhII")
             if not 1 <= fx.weight_bits <= 16:
                 raise FormatError(f"layer {i}: weight bits {fx.weight_bits}")
             if fx.act_bits > 16:
                 raise FormatError(f"layer {i}: act bits {fx.act_bits}")
             if _bad_scale(fx.weight_scale) or _bad_scale(fx.in_scale):
                 raise FormatError(f"layer {i}: non-positive or non-finite scale")
-            if fx.act_bits and _bad_scale(fx.out_scale):
+            if fx.act_bits and _bad_scale(fx.act_scale):
                 raise FormatError(f"layer {i}: non-positive or non-finite output scale")
+            if fx.in_scale != in_scale:
+                raise FormatError(
+                    f"layer {i}: in_scale {fx.in_scale!r} is not the output "
+                    f"scale {in_scale!r} of the layer before"
+                )
+            shape = fx.weight_shape
+            if n_w != math.prod(shape) or n_b != shape[0]:
+                raise FormatError(
+                    f"layer {i}: {n_w} weights and {n_b} biases for weights of "
+                    f"shape {shape}"
+                )
             fx.shift = None if shift == SHIFT_NONE else shift
-            fx.weight_codes = cur.take_array(_code_dtype(fx.weight_bits), n_w)
+            fx.codes = cur.take_array(_code_dtype(fx.weight_bits), n_w).reshape(shape)
             fx.bias_codes = cur.take_array("<i4", n_b)
-            half = 2 ** (fx.weight_bits - 1)
-            if fx.weight_codes.size and (
-                fx.weight_codes.min() < -half or fx.weight_codes.max() > half - 1
-            ):
+            lo, hi = code_range(fx.weight_bits)
+            if fx.codes.size and (fx.codes.min() < lo or fx.codes.max() > hi):
                 raise FormatError(f"layer {i}: weight codes out of range")
             bound = accumulator_bound(fx, in_bits)
             if bound > INT32_MAX:
@@ -552,20 +581,10 @@ def load_model(path_or_bytes):
                     f"layer {i}: worst-case accumulator {bound} exceeds 32-bit "
                     f"range {INT32_MAX}"
                 )
-            in_bits = fx.act_bits or in_bits
-            if kind == "conv":
-                fx.weight_codes = fx.weight_codes.reshape(
-                    fx.out_ch, fx.in_ch, fx.ksize, fx.ksize
-                )
-            else:
-                fx.weight_codes = fx.weight_codes.reshape(
-                    fx.out_features, fx.in_features
-                )
+            in_bits, in_scale = fx.act_bits or in_bits, fx.act_scale
         model.layers.append(fx)
     if cur.pos != len(buf):
         raise FormatError(f"{len(buf) - cur.pos} trailing bytes after layer data")
-    if model.shift_only and any(
-        fx.shift is None for fx in model.layers if fx.kind in ("conv", "fc")
-    ):
+    if model.shift_only and any(fx.shift is None for fx in model.param_layers):
         raise FormatError("shift-only flag set but a layer has no shift amount")
     return model

@@ -100,7 +100,7 @@ def int64_forward(model, codes, shift=False):
     logits = None
     for fx in model.layers:
         if fx.kind in ("conv", "fc"):
-            w = np.asarray(fx.weight_codes, dtype=np.int64)
+            w = np.asarray(fx.codes, dtype=np.int64)
             b = np.asarray(fx.bias_codes, dtype=np.int64)
             if fx.kind == "conv":
                 p, s = fx.pad, fx.stride

@@ -1,6 +1,8 @@
 """Canonical Huffman coding, the sparse-weight archive format, and the bit
 accounting of its reports."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,32 @@ def test_decode_rejects_malformed():
     # a varint past the int64 range
     with pytest.raises(ValueError, match="int64"):
         cz._read_varint(bytes([0xFF] * 9 + [0x7F]), 0)
+
+
+def test_decode_rejects_bias_step_off_the_input_step():
+    # bias_step is weight_scale times the layer's input step: input_scale
+    # for the conv layer, the conv layer's act_scale for the fc layer
+    import struct
+
+    blob, _ = _conv_fc_archive()
+    for step, wrong in ((0.25 / 255, 0.25), (0.25 * 0.125, 0.25 * 0.5)):
+        at = blob.find(struct.pack("<d", step))
+        assert at > 0
+        bad = blob[:at] + struct.pack("<d", wrong) + blob[at + 8 :]
+        with pytest.raises(ValueError, match="bias_step"):
+            cz.decode_model(bad)
+    # after a float junction the input step is 1.0, so bias_step is delta
+    rng = np.random.default_rng(22)
+    codes = [_random_codes(rng, (4, 5), 4, 0.3), _random_codes(rng, (3, 4), 4, 0.3)]
+    net, scales, plan = _model_from_codes(codes, 0.25, 4)
+    plan = [LayerBits(4, None), LayerBits(4, None)]
+    net.param_layers[1].b = 0.25 * rng.integers(-9, 9, 3).astype(np.float64)
+    blob, _ = cz.encode_model(net, None, scales, plan)
+    assert cz.decode_model(blob).param_layers[1].bias_step == 0.25
+    at = blob.rfind(struct.pack("<d", 0.25))  # the fc layer's bias_step
+    bad = blob[:at] + struct.pack("<d", 0.25 * 0.125) + blob[at + 8 :]
+    with pytest.raises(ValueError, match="bias_step"):
+        cz.decode_model(bad)
 
 
 def _conv_fc_archive():

@@ -17,13 +17,13 @@ def _fc_layer(codes, bias, wbits, abits, d, din, dout):
         kind="fc",
         in_features=codes.shape[1],
         out_features=codes.shape[0],
-        weight_codes=codes,
+        codes=codes,
         bias_codes=np.asarray(bias, dtype=np.int64),
         weight_bits=wbits,
         act_bits=abits,
         weight_scale=d,
         in_scale=din,
-        out_scale=dout,
+        act_scale=dout,
     )
 
 
@@ -49,7 +49,7 @@ def test_hand_traced_single_multiply():
     # with a requantizing output stage the negative value clips to code 0,
     # which is the fused ReLU
     layer2 = _fc_layer([[-1]], [2], wbits=2, abits=4, d=0.5, din=0.25, dout=0.125)
-    acc = np.array([[3]]) @ layer2.weight_codes.T + layer2.bias_codes
+    acc = np.array([[3]]) @ layer2.codes.T + layer2.bias_codes
     assert acc[0, 0] == -1
     assert fx._requant_mult(acc, layer2)[0, 0] == 0
 
@@ -61,13 +61,13 @@ def test_identity_conv_passes_codes_through():
         in_ch=1,
         out_ch=1,
         ksize=1,
-        weight_codes=np.ones((1, 1, 1, 1), dtype=np.int64),
+        codes=np.ones((1, 1, 1, 1), dtype=np.int64),
         bias_codes=np.zeros(1, dtype=np.int64),
         weight_bits=2,
         act_bits=8,
         weight_scale=1.0,
         in_scale=1.0,
-        out_scale=1.0,
+        act_scale=1.0,
     )
     final = _fc_layer(np.eye(16, dtype=np.int64), np.zeros(16), 8, 0, 1.0, 1.0, 0.0)
     model = fx.FixedPointModel(
@@ -96,7 +96,7 @@ def test_zero_input_yields_quantized_bias():
     d, din, dout, m = 0.5, 0.25, 0.2, 4
     bias = np.array([3, -2, 40], dtype=np.int64)
     layer = _fc_layer(np.zeros((3, 5), dtype=np.int64), bias, 4, m, d, din, dout)
-    acc = np.zeros((1, 5), dtype=np.int64) @ layer.weight_codes.T + bias
+    acc = np.zeros((1, 5), dtype=np.int64) @ layer.codes.T + bias
     out = fx._requant_mult(acc, layer)
     want = qz.code_unsigned(bias * (d * din), dout, m)
     assert np.array_equal(out[0], want)
@@ -111,7 +111,7 @@ def test_zero_weight_model_gives_zero_logits_both_paths():
     assert np.all(fx.infer(model, flat) == 0.0)
     sim_in = flat_codes.astype(np.float64)
     x = sim_in * model.input_scale
-    assert np.all(x @ (layer.weight_codes * 0.5).T == 0.0)
+    assert np.all(x @ (layer.codes * 0.5).T == 0.0)
 
 
 def _tiny_quantized_net(rng, delta_w, act_scale, input_scale, wbits=4, abits=4):
@@ -145,12 +145,12 @@ def test_convert_frozen_code_examples():
     conv.W[0, 0, 0, 1] = -1.0
     conv.b[0] = 0.25  # step = 0.5 * 0.25 = 0.125 -> code 2
     model = fx.convert(net, scales, plan)
-    assert model.layers[0].weight_codes[0, 0, 0, 0] == 1
-    assert model.layers[0].weight_codes[0, 0, 0, 1] == -2
+    assert model.layers[0].codes[0, 0, 0, 0] == 1
+    assert model.layers[0].codes[0, 0, 0, 1] == -2
     assert model.layers[0].bias_codes[0] == 2
     # codes reproduce the levels exactly
     assert np.array_equal(
-        model.layers[0].weight_codes * 0.5, net.param_layers[0].W
+        model.layers[0].codes * 0.5, net.param_layers[0].W
     )
 
 
@@ -329,10 +329,10 @@ def _random_engine_model(rng, wbits, abits, in_bits, pow2):
             final = layer.in_features == 8
             out_n = layer.out_ch or layer.out_features
             fan_in = layer.in_ch * layer.ksize**2 or layer.in_features
-            layer.weight_codes = rng.integers(-half, half, (out_n, fan_in))
+            layer.codes = rng.integers(-half, half, (out_n, fan_in))
             if layer.kind == "conv":
                 k = layer.ksize
-                layer.weight_codes = layer.weight_codes.reshape(out_n, layer.in_ch, k, k)
+                layer.codes = layer.codes.reshape(out_n, layer.in_ch, k, k)
             reach = half * 2**bits * np.sqrt(fan_in) / 4
             layer.bias_codes = rng.integers(-int(reach / 4), int(reach / 4) + 1, out_n)
             mult = 2.0**abits / reach * rng.uniform(0.5, 2.0)
@@ -342,9 +342,9 @@ def _random_engine_model(rng, wbits, abits, in_bits, pow2):
             if final:
                 layer.weight_scale = mult / in_scale
             else:
-                layer.act_bits, layer.out_scale = abits, 2.0**-abits
-                layer.weight_scale = mult * layer.out_scale / in_scale
-                bits, in_scale = abits, layer.out_scale
+                layer.act_bits, layer.act_scale = abits, 2.0**-abits
+                layer.weight_scale = mult * layer.act_scale / in_scale
+                bits, in_scale = abits, layer.act_scale
             if pow2:
                 layer.shift = fx._shift_exponent(layer.logit_scale if final else layer.multiplier)
                 assert layer.shift is not None
@@ -406,7 +406,7 @@ def _rail_model(kind, target, wbits, in_bits):
         layer = fx.FxLayer(kind="fc", in_features=18, out_features=3)
         shape = (3, 18)
     rails = 18 * half * (2**in_bits - 1)
-    layer.weight_codes = np.full(shape, -half, dtype=np.int64)
+    layer.codes = np.full(shape, -half, dtype=np.int64)
     layer.bias_codes = np.full(3, -(target - rails), dtype=np.int64)
     layer.weight_bits, layer.weight_scale, layer.in_scale = wbits, 1.0, 1.0
     layer.shift = 0
@@ -463,6 +463,36 @@ def test_load_rejects_layer_over_the_accumulator_bound(tmp_path):
     layer.weight_bits, model.input_bits = 8, 8
     again = fx.load_model(fx.save_model(None, model))
     assert fx.accumulator_bound(again.param_layers[0], 8) == 64 * 128 * 255
+
+
+def test_load_rejects_in_scale_that_is_not_the_previous_output_scale():
+    # a file whose fc layer reads its input codes at 0.125 while the conv
+    # layer writes them at 0.5 would run, and infer and simulate_float would
+    # disagree on it
+    rng = np.random.default_rng(13)
+    net, scales, plan = _tiny_quantized_net(rng, 0.25, 0.5, 1 / 256)
+    model = fx.convert(net, scales, plan)
+    conv, fc = model.param_layers
+    assert fc.in_scale == conv.act_scale == 0.5
+    fc.in_scale = 0.125
+    with pytest.raises(fx.FormatError, match="in_scale"):
+        fx.load_model(fx.save_model(None, model))
+    fc.in_scale, conv.in_scale = 0.5, 2 * model.input_scale
+    with pytest.raises(fx.FormatError, match="in_scale"):
+        fx.load_model(fx.save_model(None, model))
+    conv.in_scale = model.input_scale
+    assert fx.save_model(None, fx.load_model(fx.save_model(None, model))) == (
+        fx.save_model(None, model))
+
+
+def test_binary_weight_model_round_trips():
+    # 1-bit codes are -1 and +1, both in range for the reader
+    rng = np.random.default_rng(14)
+    net, scales, plan = _tiny_quantized_net(rng, 0.5, 0.25, 0.25, wbits=1)
+    model = fx.convert(net, scales, plan)
+    assert set(np.unique(model.layers[0].codes)) <= {-1, 1}
+    blob = fx.save_model(None, model)
+    assert fx.save_model(None, fx.load_model(blob)) == blob
 
 
 def test_load_rejects_non_finite_scales():
