@@ -56,8 +56,6 @@ from .training import (
     TrainLog,
     TrainResult,
     bias_grid_step,
-    cost_pow2,
-    cost_qat,
     evaluate,
     grad_lambda,
     grad_log_lambda,

@@ -406,7 +406,11 @@ def simulate_float(model: FixedPointModel, images, batch=512):
     the oracle infer must agree with. to_network() already holds the grid
     values of the weights and biases, so the tap only requantizes each
     junction, where the next layer reads it, after any max-pool; the
-    quantizer is monotone, so pooling first gives the same values."""
+    quantizer is monotone, so pooling first gives the same values. The
+    logits differ from infer's only by the rounding of the float sums:
+    round(logits / logit_scale) gives infer's accumulators, also for scales
+    that are not powers of two, so the argmax can differ from infer's only
+    where infer's logits tie exactly."""
     params = model.param_layers
     tap = QuantTap(
         [LayerBits(None, l.act_bits or None) for l in params],

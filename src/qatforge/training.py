@@ -1,26 +1,28 @@
-"""Training loops for the regularized quantization pipeline.
+"""Training for the regularized quantization pipeline.
 
-One engine covers the run types the experiments need:
+One loop, _run_core, trains every mode. Each step runs the forward (through
+a QuantTap when anything is quantized), the task loss and its backward, adds
+the pull of the mode's regularizer R to the task gradients and takes an Adam
+step. Every mode with an R also learns its weight lam = exp(omega) in
+C = E + lam*R - alpha*log(lam): d/domega = lam*R - alpha, so lam ramps up as
+R shrinks and ratchets the weights in. The mode picks R and the ending:
 
-* ``float``: plain adaptive-moment training, no taps, the accuracy baseline.
+* ``float``: no R, no taps; the accuracy baseline.
 * ``qat``: quantization-aware training. Every forward runs on quantized
   weights/biases and (optionally) quantized inter-layer activations, while
-  float masters accumulate updates. The masters feel two pulls: the task
-  gradient routed through the straight-through masks, and the MSQE pull
-  2*lam/N * (w - Q(w)) toward the current grid. The regularization weight
-  lam = exp(omega) is itself learned (d/domega = lam*R - alpha), so it ramps
-  up as the error shrinks and ratchets the weights onto the grid. Per-layer
-  scales follow their own regularizer gradients.
+  float masters accumulate updates. R is the MSQE of the masters to their
+  grids; its pull 2*lam/N * (w - Q(w)) joins the task gradient routed
+  through the straight-through masks. Per-layer scales follow their own
+  regularizer gradients. The run ends by snapping onto the grids.
 * ``qat_pow2``: same, plus penalties pulling every scale to a power of two,
   weighted by learned coefficients gamma = exp(log_gamma) with the analogous
   ramp (d/dlog_gamma = gamma*T - beta).
-* ``prune``: magnitude pruning by partial L2. The threshold theta is the
-  nearest-rank percentile of pooled |w|, recomputed every step; weights
-  below it feel a decay pull with the same learned-lambda schedule. At the
-  end exactly ceil(ratio * N) weights, the smallest magnitudes, are zeroed
-  and masked.
-* ``prune_then_qat``: the two stages composed; the mask stays frozen through
-  the QAT stage.
+* ``prune``: magnitude pruning. R is the partial L2 of the weights below the
+  threshold theta, the nearest-rank percentile of pooled |w|, recomputed
+  every step. The run ends by zeroing and masking exactly ceil(ratio * N)
+  weights, the smallest magnitudes; biases are never pruned.
+* ``prune_then_qat``: the loop run twice, prune then qat; the mask stays
+  frozen through the QAT stage.
 
 At the end of a quantized run the float masters are consolidated onto their
 grids (weights to delta-levels, biases to the accumulator grid). Every
@@ -206,9 +208,10 @@ class QuantTap:
 
     weights() substitutes grid values built from the float masters and caches
     codes and quantized copies for the regularizer terms of the same step;
-    activation() quantizes junction activations and keeps the pre-tap values
-    for the activation MSQE and its scale gradient; activation_backward()
-    applies the straight-through mask.
+    activation() keeps the pre-tap values of every junction (for the
+    activation MSQE, its scale gradient and init_scales' calibration) and
+    quantizes those the plan gives bits; activation_backward() applies the
+    straight-through mask.
     """
 
     def __init__(self, plan, scales: ScaleState):
@@ -232,10 +235,10 @@ class QuantTap:
         return wq, bq
 
     def activation(self, idx, x):
+        self.pre_acts[idx] = x
         bits = self.plan[idx].acts
         if bits is None:
             return x
-        self.pre_acts[idx] = x
         return qz.quantize_unsigned(x, float(self.scales.act_scales[idx]), bits)
 
     def activation_backward(self, idx, g):
@@ -244,23 +247,6 @@ class QuantTap:
             return g
         d = float(self.scales.act_scales[idx])
         return g * qz.ste_activation_passmask(self.pre_acts[idx], d, bits)
-
-
-class _CalibTap:
-    """Pass-through tap that records junction activations for init_scales."""
-
-    def __init__(self, num_layers):
-        self.pre_acts = [None] * num_layers
-
-    def weights(self, idx, w, b):
-        return w, b
-
-    def activation(self, idx, x):
-        self.pre_acts[idx] = x
-        return x
-
-    def activation_backward(self, idx, g):
-        return g
 
 
 class Adam:
@@ -340,7 +326,7 @@ def grad_log_lambda(reg_value, alpha, lam):
     return lam * reg_value - alpha
 
 
-# --- initialization and assembled costs ------------------------------------
+# --- initialization and cost terms ----------------------------------------
 
 
 def init_scales(net, plan, calib_images, input_scale, masks=None):
@@ -363,7 +349,7 @@ def init_scales(net, plan, calib_images, input_scale, masks=None):
             p = 1e-3
         wscales[l] = p if bits == 1 else p / (2 ** (bits - 1) - 1)
     if any(p.acts is not None for p in plan):
-        tap = _CalibTap(len(params))
+        tap = QuantTap([LayerBits(None, None)] * len(params), None)
         net.forward(calib_images * input_scale, tap)
         for l in range(len(params)):
             bits = plan[l].acts
@@ -404,46 +390,6 @@ def _pow2_terms(scales, plan):
     t_w = rg.pow2_penalty(scales.weight_scales[widx]) if widx else 0.0
     t_a = rg.pow2_penalty(scales.act_scales[aidx]) if aidx else None
     return t_w, t_a
-
-
-def _cost(net, images, labels, scales, reg: RegState, plan, pow2):
-    tap = QuantTap(plan, scales)
-    logits = net.forward(images, tap)
-    task, _ = softmax_xent(logits, labels)
-    r_value, _ = _model_msqe(net, plan, scales)
-    s_values = {
-        l: rg.msqe_activations(tap.pre_acts[l], float(scales.act_scales[l]), p.acts)
-        for l, p in enumerate(plan)
-        if p.acts is not None and tap.pre_acts[l] is not None
-    }
-    components = {
-        "task": task,
-        "weight_msqe": r_value,
-        "act_msqe": s_values,
-        "lam_log_term": -reg.alpha * reg.log_lam,
-    }
-    t_w = t_a = None
-    if pow2:
-        t_w, t_a = _pow2_terms(scales, plan)
-        components["pow2_w"] = t_w
-        if t_a is not None:
-            components["pow2_a"] = t_a
-    cost = reg.cost(task, r_value, sum(s_values.values()), t_w, t_a)
-    if not np.isfinite(cost):
-        raise RuntimeError(f"non-finite cost: {components}")
-    return cost, components
-
-
-def cost_qat(net, images, labels, scales, reg: RegState, plan):
-    """Assembled cost of one batch under quantized forward:
-    E + lam*R - alpha*log(lam) + zeta * sum of per-layer activation MSQEs.
-    Returns (cost, components)."""
-    return _cost(net, images, labels, scales, reg, plan, pow2=False)
-
-
-def cost_pow2(net, images, labels, scales, reg: RegState, plan):
-    """cost_qat plus the power-of-two scale penalties and their log terms."""
-    return _cost(net, images, labels, scales, reg, plan, pow2=True)
 
 
 def evaluate(net, images, labels, input_scale, tap=None, batch=1000):
@@ -508,13 +454,16 @@ def _prep(images):
 
 
 def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
-    """The float/qat/qat_pow2 loop. Returns a TrainResult; mutates net."""
+    """The training loop of every mode; cfg.mode picks R and the ending (see
+    the module docstring). masks, if given, hold the pruned weights at zero.
+    Returns a TrainResult; mutates net."""
     t0 = time.perf_counter()
     train_x, train_y = _prep(data.train_images), data.train_labels.astype(np.int64)
     test_x, test_y = data.test_images, data.test_labels.astype(np.int64)
     params = net.param_layers
     plan = quant_plan(len(params), cfg)
     quantized = any(p.weights is not None or p.acts is not None for p in plan)
+    prune = cfg.mode == "prune"
     pow2 = cfg.mode == "qat_pow2"
     input_scale = cfg.resolved_input_scale()
     rng = np.random.default_rng(cfg.seed)
@@ -528,11 +477,15 @@ def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
         alpha=cfg.alpha, zeta=cfg.zeta, beta_w=cfg.beta_w, beta_a=cfg.beta_a
     )
 
-    n_reg = sum(
-        layer.W.size + layer.b.size
-        for layer, p in zip(params, plan)
-        if p.weights is not None
-    )
+    # N, the count R is normalized by
+    if prune:
+        n_reg = sum(layer.W.size for layer in params)
+    else:
+        n_reg = sum(
+            layer.W.size + layer.b.size
+            for layer, p in zip(params, plan)
+            if p.weights is not None
+        )
     widx = [l for l, p in enumerate(plan) if p.weights is not None]
     aidx = [l for l, p in enumerate(plan) if p.acts is not None]
     lr_gamma = cfg.lr_log_gamma if cfg.lr_log_gamma is not None else cfg.lr_log_lam
@@ -564,12 +517,18 @@ def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
             net.backward(dlogits)
 
             lam = reg.lam
+            if prune:
+                weights = [layer.W for layer in params]
+                theta = rg.prune_threshold(weights, cfg.prune_ratio)
+                r_value = rg.partial_l2(weights, theta, n_reg)
             r_sum = 0.0
             gd = np.zeros(len(params))
             ga = np.zeros(len(params))
             s_total = 0.0
             for l, layer in enumerate(params):
                 gW, gb = layer.gW, layer.gb
+                if prune:
+                    gW = gW + lam * rg.partial_l2_grad(layer.W, theta, n_reg)
                 bits = plan[l].weights
                 if bits is not None:
                     d = float(scales.weight_scales[l])
@@ -599,16 +558,12 @@ def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
                 if masks is not None:
                     layer.W[~masks[l]] = 0.0
 
-            r_value = r_sum / n_reg if n_reg else 0.0
-            cost = task
-            row = {
-                "iteration": it,
-                "epoch": epoch,
-                "task": task,
-                "weight_msqe": r_value,
-                "act_msqe": s_total,
-                "lam": lam,
-            }
+            row = {"iteration": it, "epoch": epoch, "task": task}
+            if prune:
+                row.update(prune_l2=r_value, lam=lam, theta=theta)
+            else:
+                r_value = r_sum / n_reg if n_reg else 0.0
+                row.update(weight_msqe=r_value, act_msqe=s_total, lam=lam)
             if quantized:
                 scales.weight_scales = np.maximum(
                     scales.weight_scales + adam_ws.step(gd, lr_s), SCALE_FLOOR
@@ -617,6 +572,8 @@ def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
                     scales.act_scales = np.maximum(
                         scales.act_scales + adam_as.step(ga, lr_s), SCALE_FLOOR
                     )
+            cost = task
+            if quantized or prune:
                 # the gamma gradients see the updated scales; the logged cost
                 # takes them with the coefficients of this step, before update
                 t_w, t_a = _pow2_terms(scales, plan) if pow2 else (None, None)
@@ -641,9 +598,10 @@ def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
                         row["pow2_a"] = t_a
                         row["gamma_a"] = reg.gamma_a
             row["cost"] = cost
-            for l in range(len(params)):
-                row[f"w_scale_{l}"] = float(scales.weight_scales[l])
-                row[f"a_scale_{l}"] = float(scales.act_scales[l])
+            if not prune:
+                for l in range(len(params)):
+                    row[f"w_scale_{l}"] = float(scales.weight_scales[l])
+                    row[f"a_scale_{l}"] = float(scales.act_scales[l])
             log.rows.append(row)
             if quantized and cfg.hist_every and it % cfg.hist_every == 0:
                 _snapshot_histograms(log, net, plan, scales, it)
@@ -652,13 +610,18 @@ def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
         eval_tap = QuantTap(plan, scales) if quantized else None
         acc = evaluate(net, test_x, test_y, input_scale, eval_tap, cfg.eval_batch)
         log.acc_rows.append((epoch, it, acc))
+        if prune:
+            terms = f"P={r_value:.3e} lam={reg.lam:.3e} theta={theta:.3e}"
+        else:
+            terms = f"R={r_value:.3e} lam={reg.lam:.3e}"
         print(
             f"{log_prefix}[{cfg.mode} epoch {epoch + 1}/{cfg.epochs}] "
-            f"task={task:.4f} R={r_value:.3e} lam={reg.lam:.3e} acc={acc:.4f}",
+            f"task={task:.4f} {terms} acc={acc:.4f}",
             flush=True,
         )
 
     diagnostics = {}
+    final_acc = log.acc_rows[-1][2]
     if quantized:
         _snapshot_histograms(log, net, plan, scales, it)
         if pow2:
@@ -673,8 +636,19 @@ def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
                     layer.W[~keep] = 0.0
         eval_tap = QuantTap(plan, scales)
         final_acc = evaluate(net, test_x, test_y, input_scale, eval_tap, cfg.eval_batch)
-    else:
-        final_acc = log.acc_rows[-1][2]
+    elif prune:
+        weights = [layer.W for layer in params]
+        theta = rg.prune_threshold(weights, cfg.prune_ratio)
+        masks = rg.prune_masks(weights, cfg.prune_ratio)
+        for layer, keep in zip(params, masks):
+            layer.W[~keep] = 0.0
+        final_acc = evaluate(net, test_x, test_y, input_scale, None, cfg.eval_batch)
+        pruned = sum(int((~k).sum()) for k in masks)
+        diagnostics = {
+            "theta_final": theta,
+            "pruned_fraction": pruned / n_reg,
+            "accuracy_after_mask": final_acc,
+        }
 
     return TrainResult(
         net=net,
@@ -699,107 +673,17 @@ def _snapshot_histograms(log, net, plan, scales, it):
         log.hist_rows.append((it, l, d, counts))
 
 
-def _run_prune(net, data, cfg: TrainConfig, log_prefix=""):
-    """Magnitude pruning stage: plain forward, partial-L2 pull below the
-    per-iteration percentile threshold, learned lambda; ends with a hard
-    mask. Biases are never pruned."""
-    t0 = time.perf_counter()
-    train_x, train_y = _prep(data.train_images), data.train_labels.astype(np.int64)
-    test_x, test_y = data.test_images, data.test_labels.astype(np.int64)
-    params = net.param_layers
-    input_scale = cfg.resolved_input_scale()
-    rng = np.random.default_rng(cfg.seed)
-    reg = RegState(alpha=cfg.alpha, zeta=cfg.zeta)
-    n_w = sum(layer.W.size for layer in params)
-
-    adam_w = [Adam(layer.W.shape) for layer in params]
-    adam_b = [Adam(layer.b.shape) for layer in params]
-    adam_om = Adam(())
-
-    log = TrainLog()
-    it = 0
-    for epoch in range(cfg.epochs):
-        mult = _lr_mult(cfg.lr_schedule, epoch)
-        lr_w = cfg.lr * mult
-        lr_om = cfg.lr_log_lam * mult
-        for idx in _batches(rng, train_x.shape[0], cfg.batch_size):
-            x = train_x[idx].astype(np.float64) * input_scale
-            y = train_y[idx]
-            logits = net.forward(x)
-            task, dlogits = softmax_xent(logits, y)
-            if not np.isfinite(task):
-                raise RuntimeError(f"non-finite task loss at iteration {it}")
-            net.backward(dlogits)
-
-            lam = reg.lam
-            weights = [layer.W for layer in params]
-            theta = rg.prune_threshold(weights, cfg.prune_ratio)
-            p_value = rg.partial_l2(weights, theta, n_w)
-            cost = reg.cost(task, p_value, 0.0)  # the coefficients of this step
-            for l, layer in enumerate(params):
-                gW = layer.gW + lam * rg.partial_l2_grad(layer.W, theta, n_w)
-                layer.W += adam_w[l].step(gW, lr_w)
-                layer.b += adam_b[l].step(layer.gb, lr_w)
-            g_om = grad_log_lambda(p_value, reg.alpha, lam)
-            reg.log_lam = min(
-                reg.log_lam + float(adam_om.step(g_om, lr_om)), LOG_COEFF_CAP
-            )
-            log.rows.append(
-                {
-                    "iteration": it,
-                    "epoch": epoch,
-                    "task": task,
-                    "prune_l2": p_value,
-                    "lam": lam,
-                    "theta": theta,
-                    "cost": cost,
-                }
-            )
-            it += 1
-        acc = evaluate(net, test_x, test_y, input_scale, None, cfg.eval_batch)
-        log.acc_rows.append((epoch, it, acc))
-        print(
-            f"{log_prefix}[prune epoch {epoch + 1}/{cfg.epochs}] "
-            f"task={task:.4f} P={p_value:.3e} lam={reg.lam:.3e} "
-            f"theta={theta:.3e} acc={acc:.4f}",
-            flush=True,
-        )
-
-    weights = [layer.W for layer in params]
-    theta = rg.prune_threshold(weights, cfg.prune_ratio)
-    masks = rg.prune_masks(weights, cfg.prune_ratio)
-    for layer, keep in zip(params, masks):
-        layer.W[~keep] = 0.0
-    final_acc = evaluate(net, test_x, test_y, input_scale, None, cfg.eval_batch)
-    pruned = sum(int((~k).sum()) for k in masks)
-    diagnostics = {
-        "theta_final": theta,
-        "pruned_fraction": pruned / n_w,
-        "accuracy_after_mask": final_acc,
-    }
-    return TrainResult(
-        net=net,
-        scales=ScaleState(np.ones(len(params)), np.ones(len(params)), input_scale),
-        reg=reg,
-        log=log,
-        config=cfg,
-        prune_mask=masks,
-        final_accuracy=final_acc,
-        wall_seconds=time.perf_counter() - t0,
-        diagnostics=diagnostics,
-    )
-
-
 def train(net, data, cfg: TrainConfig, masks=None):
     """Run one training stage (or the prune_then_qat composition) on net,
     mutating it in place. data is any object with train_images/train_labels/
-    test_images/test_labels uint8 arrays."""
+    test_images/test_labels uint8 arrays. prune draws its own mask and
+    ignores the one given."""
     cfg.validate()
     if cfg.mode == "prune":
-        return _run_prune(net, data, cfg)
+        return _run_core(net, data, cfg)
     if cfg.mode == "prune_then_qat":
         stage1 = replace(cfg, mode="prune", epochs=cfg.prune_epochs)
-        res1 = _run_prune(net, data, stage1, log_prefix="stage1 ")
+        res1 = _run_core(net, data, stage1, log_prefix="stage1 ")
         stage2 = replace(cfg, mode="qat")
         res2 = _run_core(net, data, stage2, masks=res1.prune_mask, log_prefix="stage2 ")
         res2.prune_log = res1.log

@@ -198,6 +198,12 @@ def test_infer_matches_simulate_float_random_models():
         assert np.array_equal(np.argmax(logits, 1), np.argmax(sim, 1))
         rel = np.max(np.abs(logits - sim)) / max(np.max(np.abs(sim)), 1e-12)
         assert rel <= 1e-6
+        # the float logits round to infer's exact accumulators, also with
+        # multipliers that are not powers of two
+        step = model.param_layers[-1].logit_scale
+        acc = np.round(logits / step)
+        assert np.array_equal(acc * step, logits)
+        assert np.array_equal(np.round(sim / step), acc)
 
 
 def test_pow2_model_uses_shifts_and_matches_exactly():

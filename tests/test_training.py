@@ -352,39 +352,51 @@ def test_prune_then_qat_composition():
 
 
 def test_cost_functions():
-    rng = np.random.default_rng(8)
+    # R and its count N come from _model_msqe; RegState.cost is the one
+    # assembly of C = E + lam*R - alpha*log(lam) + zeta*S (+ gamma*T - beta*log(gamma))
     net = _toy_net(np.random.default_rng(14))
     plan = [tr.LayerBits(4, None)]
     scales = tr.ScaleState(np.array([0.1]), np.array([1.0]), 1 / 255)
-    reg = tr.RegState(alpha=0.5, zeta=1.0)
-    x = rng.random((8, 1, 8, 8))
-    y = rng.integers(0, 4, 8)
-    cost, comp = tr.cost_qat(net, x, y, scales, reg, plan)
+    reg = tr.RegState(alpha=0.5, zeta=1.0, log_lam=0.3)
     r, n = tr._model_msqe(net, plan, scales)
-    assert abs(cost - (comp["task"] + reg.lam * r - reg.alpha * reg.log_lam)) < 1e-12
     assert n == net.param_layers[0].W.size + net.param_layers[0].b.size
-    cost2, comp2 = tr.cost_pow2(net, x, y, scales, reg, plan)
-    assert "pow2_w" in comp2
+    assert r > 0
+    task = 1.25
+    cost = reg.cost(task, r, 0.0)
+    assert abs(cost - (task + reg.lam * r - reg.alpha * reg.log_lam)) < 1e-12
+    t_w, t_a = tr._pow2_terms(scales, plan)
     # delta = 0.1 is not a power of two, so the penalty is strictly positive
-    assert comp2["pow2_w"] > 0
-    assert cost2 > cost - 1e-12
+    assert t_w > 0 and t_a is None
+    assert reg.cost(task, r, 0.0, t_w, t_a) == cost + reg.gamma_w * t_w - reg.beta_w * reg.log_gamma_w
+
+
+@pytest.mark.parametrize("mode", ["float", "prune"])
+def test_non_finite_task_loss_stops_the_run(mode):
+    data = _toy_data(np.random.default_rng(12), n_train=64, n_test=32)
+    net = _toy_net(np.random.default_rng(19))
     net.param_layers[0].W[:] = np.inf
-    with pytest.raises(RuntimeError, match="non-finite"):
-        tr.cost_qat(net, x, y, scales, reg, plan)
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="non-finite task loss at iteration 0"):
+        tr.train(net, data, _cfg(mode=mode, epochs=1, prune_ratio=0.5))
 
 
 def test_logged_cost_uses_the_coefficients_of_its_step():
-    rng = np.random.default_rng(11)
-    data = _toy_data(rng, n_train=64, n_test=32)
-    net = _conv_net(np.random.default_rng(18))
-    cfg = _cfg(mode="qat_pow2", epochs=1, lr=1e-2)
-    row = tr.train(net, data, cfg).log.rows[0]
     # the first step runs at log(lam) = log(gamma) = 0; the logged gamma is
     # the one after the step's update
-    reg0 = tr.RegState(alpha=cfg.alpha, zeta=cfg.zeta, beta_w=cfg.beta_w, beta_a=cfg.beta_a)
-    terms = [row[k] for k in ("task", "weight_msqe", "act_msqe", "pow2_w", "pow2_a")]
-    assert row["cost"] == reg0.cost(*terms)
-    assert row["gamma_w"] != 1.0 and row["gamma_a"] != 1.0
+    for mode in ("qat_pow2", "prune"):
+        data = _toy_data(np.random.default_rng(11), n_train=64, n_test=32)
+        net = _conv_net(np.random.default_rng(18))
+        cfg = _cfg(mode=mode, epochs=1, lr=1e-2, prune_ratio=0.5)
+        res = tr.train(net, data, cfg)
+        row = res.log.rows[0]
+        reg0 = tr.RegState(alpha=cfg.alpha, zeta=cfg.zeta, beta_w=cfg.beta_w, beta_a=cfg.beta_a)
+        if mode == "prune":
+            # prune's R, the partial L2, runs through the same cost and lam update
+            assert row["cost"] == reg0.cost(row["task"], row["prune_l2"], 0.0)
+            assert row["lam"] == 1.0 and res.reg.lam != 1.0
+            continue
+        terms = [row[k] for k in ("task", "weight_msqe", "act_msqe", "pow2_w", "pow2_a")]
+        assert row["cost"] == reg0.cost(*terms)
+        assert row["gamma_w"] != 1.0 and row["gamma_a"] != 1.0
 
 
 def test_evaluate_counts_correct_predictions():
