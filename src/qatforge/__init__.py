@@ -71,6 +71,7 @@ from .fixedpoint import (
     FxLayer,
     IntTensor,
     convert,
+    freeze,
     infer,
     infer_shift,
     load_model,

@@ -323,6 +323,8 @@ def cmd_infer(args):
         acc = float(np.mean(preds == labels))
         print(f"accuracy {acc:.4f} on {labels.size} images")
         return 0
+    if not 0 <= args.index < labels.size:
+        raise ValueError(f"--index {args.index} is outside [0, {labels.size})")
     image = data.test_images[args.index : args.index + 1]
     run = fx.infer_shift if args.shift else fx.infer
     logits = run(model, image)

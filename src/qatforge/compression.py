@@ -209,9 +209,6 @@ def encode_model(net, masks, scales, plan):
     """Archive bytes for a pruned+quantized network. masks (keep=True) are
     checked against the zeros rather than stored: pruned positions must have
     code 0, and decode recovers them as zeros."""
-    for l in range(len(net.param_layers)):
-        if plan[l].weights is None:
-            raise ValueError(f"layer {l} is unquantized; nothing to encode")
     model = FixedPointModel.from_network(net, scales, plan)
     layers = model.param_layers
     for l, (src, q) in enumerate(zip(net.param_layers, layers)):

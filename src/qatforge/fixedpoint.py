@@ -8,6 +8,9 @@ scales and its bit plan; convert (here) and compression.encode_model both
 start from it. Its two serializations are FXPM (save_model/load_model,
 below), ready for integer-only inference, and the QZIP archive (compression),
 entropy-coded and sparse; they share the layer records of docs/formats.md.
+freeze holds the integer contract a model must meet to run here; convert
+and load_model both run it, and freeze(decode_model(...)) turns an archive
+into an FXPM model.
 
 One layer runs as: integer accumulate, integer bias add, one combined
 rescale weight_scale*in_scale/act_scale with round-half-away-from-zero, clip
@@ -17,8 +20,8 @@ emits real logits scaled by weight_scale*in_scale. When every scale is a
 power of two the rescale collapses to an arithmetic shift (infer_shift).
 
 The accumulator contract is 32-bit signed: accumulator_bound gives
-fan_in * 2^(n-1) * (2^m - 1) + max|bias| per layer, convert and load_model
-refuse a layer whose bound exceeds 2^31 - 1, and infer(debug=True)
+fan_in * 2^(n-1) * (2^m - 1) + max|bias| per layer, freeze refuses a layer
+whose bound exceeds 2^31 - 1, and infer(debug=True)
 re-checks the realized accumulators. The multiply-accumulate is exact
 integer arithmetic, carried out in any arithmetic the bound proves exact:
 every partial sum is an integer no larger than the bound, so a float32 GEMM
@@ -170,9 +173,8 @@ class FixedPointModel:
         """The model a trained network, its scales and its bit plan define:
         weight codes code_signed(W), bias codes round(b / bias_step), and an
         input step per layer of input_scale, the previous layer's act_scale,
-        or 1.0 after an output left in float. Every layer needs a weight
-        bit-width. It refuses nothing else; convert and encode_model check
-        the network against it by their own rules."""
+        or 1.0 after an output left in float. It refuses a layer with no
+        weight bit-width; freeze checks the rest of the integer contract."""
         model = cls(input_scale=float(scales.input_scale))
         params, pidx, in_scale = net.param_layers, 0, model.input_scale
         for entry in net_spec(net):
@@ -180,6 +182,11 @@ class FixedPointModel:
             layer = FxLayer(kind, **dict(zip(_RECORDS[kind][2], entry[1:])))
             if kind in ("conv", "fc"):
                 p = plan[pidx]
+                if p.weights is None:
+                    raise ValueError(
+                        f"layer {pidx} has no weight bit-width: integer-only "
+                        "conversion needs every parameter layer quantized"
+                    )
                 layer.weight_bits, layer.act_bits = p.weights, p.acts or 0
                 layer.weight_scale = float(scales.weight_scales[pidx])
                 layer.in_scale = in_scale
@@ -226,27 +233,11 @@ def _shift_exponent(x):
 
 
 def convert(net, scales, plan):
-    """Freeze a trained float network into a FixedPointModel.
-
-    Refuses when any weight sits farther than 0.25*delta from its nearest
-    level: that model has not converged onto its grid and integer codes
-    would change the function. Also refuses layers left unquantized by the
-    plan, and statically checks the 32-bit accumulator bound.
-    """
-    plan = list(plan)
-    for l, p in enumerate(plan):
-        if p.weights is None:
-            raise ValueError(
-                f"layer {l} has no weight bit-width: integer-only conversion "
-                "needs every parameter layer quantized"
-            )
-        if l < len(plan) - 1 and p.acts is None:
-            raise ValueError(
-                f"layer {l} has no activation bit-width: inter-layer codes "
-                "would be undefined"
-            )
+    """Freeze a trained float network into a FixedPointModel: from_network,
+    then freeze. Refuses when any weight sits farther than 0.25*delta from
+    its nearest level: that model has not converged onto its grid and
+    integer codes would change the function."""
     model = FixedPointModel.from_network(net, scales, plan)
-    in_bits = model.input_bits
     for l, (src, fx) in enumerate(zip(net.param_layers, model.param_layers)):
         d = fx.weight_scale
         worst = float(np.max(np.abs(src.W - fx.weights()))) if src.W.size else 0.0
@@ -255,6 +246,32 @@ def convert(net, scales, plan):
                 f"layer {l} not converged: max weight distance from a "
                 f"level is {worst:.3e} > 0.25*delta = {0.25 * d:.3e}"
             )
+    return freeze(model)
+
+
+def freeze(model: FixedPointModel):
+    """Check the integer contract of the IR and set the shift amounts;
+    returns the model. Each parameter layer reads the codes the layer before
+    writes (its in_scale is that layer's act_scale, input_scale for the
+    first); every layer but the last requantizes its output and the last
+    does not; bias codes fit int32; and accumulator_bound is at most
+    2^31 - 1. shift is the exponent of each rescale when every one is a
+    power of two (shift_only), else None everywhere."""
+    params = model.param_layers
+    in_bits, in_scale = model.input_bits, model.input_scale
+    for l, fx in enumerate(params):
+        if fx.in_scale != in_scale:
+            raise ValueError(
+                f"layer {l}: in_scale {fx.in_scale!r} is not the output "
+                f"scale {in_scale!r} of the layer before"
+            )
+        if not fx.act_bits and l < len(params) - 1:
+            raise ValueError(
+                f"layer {l} has no activation bit-width: inter-layer codes "
+                "would be undefined"
+            )
+        if fx.act_bits and l == len(params) - 1:
+            raise ValueError(f"layer {l}: the final layer requantizes its logits")
         if fx.bias_codes.size and np.abs(fx.bias_codes).max() > INT32_MAX:
             raise ValueError(f"layer {l}: bias codes exceed 32-bit range")
         bound = accumulator_bound(fx, in_bits)
@@ -264,10 +281,10 @@ def convert(net, scales, plan):
                 f"32-bit range {INT32_MAX}"
             )
         fx.shift = _shift_exponent(fx.multiplier if fx.act_bits else fx.logit_scale)
-        in_bits = fx.act_bits
-    model.shift_only = all(fx.shift is not None for fx in model.param_layers)
+        in_bits, in_scale = fx.act_bits, fx.act_scale
+    model.shift_only = all(fx.shift is not None for fx in params)
     if not model.shift_only:
-        for fx in model.param_layers:
+        for fx in params:
             fx.shift = None
     return model
 
@@ -340,7 +357,7 @@ def _run_int(model: FixedPointModel, codes, in_bits, shift, debug):
     rescaled. shift, the only difference of infer_shift, picks the rescale."""
     x = codes.transpose(0, 2, 3, 1) if codes.ndim == 4 else codes
     bits, pending, logits = in_bits, None, None
-    for fx in model.layers:
+    for i, fx in enumerate(model.layers):
         if fx.kind == "maxpool":
             x = max_pool(x, fx.size)
             continue
@@ -348,6 +365,8 @@ def _run_int(model: FixedPointModel, codes, in_bits, shift, debug):
             x = (_requant_shift if shift else _requant_mult)(x, pending)
             bits, pending = pending.act_bits, None
         if fx.kind in ("conv", "fc"):
+            if logits is not None:
+                raise ValueError(f"layer {i} follows the final, unrequantized layer")
             dtype = _acc_dtype(accumulator_bound(fx, bits))
             if fx.kind == "conv":
                 acc = _conv_int(x, fx, dtype)
@@ -529,8 +548,9 @@ class _Cursor:
 def load_model(path_or_bytes):
     """Read an FXPM container. Every malformed file raises FormatError: each
     count is checked against the geometry and the bytes left before anything
-    is allocated from it, and each layer's in_scale must be the previous
-    layer's act_scale (input_scale for the first)."""
+    is allocated from it, the model must pass freeze, and each stored shift
+    must be the one freeze derives. A file that stores no shifts
+    (shift_only 0, every shift SHIFT_NONE) loads with the derived ones."""
     if isinstance(path_or_bytes, (bytes, bytearray)):
         buf = bytes(path_or_bytes)
     else:
@@ -545,10 +565,7 @@ def load_model(path_or_bytes):
         raise FormatError(f"unsupported version {version}")
     if not 1 <= input_bits <= 16 or _bad_scale(input_scale):
         raise FormatError("invalid input encoding")
-    model = FixedPointModel(
-        input_scale=input_scale, input_bits=input_bits, shift_only=bool(shift_only)
-    )
-    in_bits, in_scale = input_bits, input_scale
+    model = FixedPointModel(input_scale=input_scale, input_bits=input_bits)
     for i in range(n_layers):
         fx = cur.take_record(i)
         if fx.kind in ("conv", "fc"):
@@ -562,11 +579,6 @@ def load_model(path_or_bytes):
                 raise FormatError(f"layer {i}: non-positive or non-finite scale")
             if fx.act_bits and _bad_scale(fx.act_scale):
                 raise FormatError(f"layer {i}: non-positive or non-finite output scale")
-            if fx.in_scale != in_scale:
-                raise FormatError(
-                    f"layer {i}: in_scale {fx.in_scale!r} is not the output "
-                    f"scale {in_scale!r} of the layer before"
-                )
             shape = fx.weight_shape
             if n_w != math.prod(shape) or n_b != shape[0]:
                 raise FormatError(
@@ -579,16 +591,15 @@ def load_model(path_or_bytes):
             lo, hi = code_range(fx.weight_bits)
             if fx.codes.size and (fx.codes.min() < lo or fx.codes.max() > hi):
                 raise FormatError(f"layer {i}: weight codes out of range")
-            bound = accumulator_bound(fx, in_bits)
-            if bound > INT32_MAX:
-                raise FormatError(
-                    f"layer {i}: worst-case accumulator {bound} exceeds 32-bit "
-                    f"range {INT32_MAX}"
-                )
-            in_bits, in_scale = fx.act_bits or in_bits, fx.act_scale
         model.layers.append(fx)
     if cur.pos != len(buf):
         raise FormatError(f"{len(buf) - cur.pos} trailing bytes after layer data")
-    if model.shift_only and any(fx.shift is None for fx in model.param_layers):
-        raise FormatError("shift-only flag set but a layer has no shift amount")
+    stored = (bool(shift_only), [fx.shift for fx in model.param_layers])
+    try:
+        freeze(model)
+    except ValueError as e:
+        raise FormatError(str(e)) from None
+    derived = (model.shift_only, [fx.shift for fx in model.param_layers])
+    if stored != derived and stored != (False, [None] * len(stored[1])):
+        raise FormatError(f"stored shifts {stored} are not the rescale exponents {derived}")
     return model

@@ -313,6 +313,17 @@ def test_compress_refuses_unquantized_checkpoint(float_run, tmp_path, capsys):
     assert "compression refused" in capsys.readouterr().err
 
 
+def test_infer_refuses_an_index_outside_the_test_set(ds, qat_run, tmp_path, capsys):
+    assert main(["convert", "--ckpt", str(qat_run / "checkpoint.npz"),
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for index in ("64", "-1"):
+        rc = main(["infer", "--data", str(ds), "--fxpm", str(tmp_path / "model.fxpm"),
+                   "--index", index])
+        assert rc == 2
+        assert f"--index {index} is outside [0, 64)" in capsys.readouterr().err
+
+
 def test_missing_checkpoint_reports_error(ds, capsys):
     rc = main(["eval", "--data", str(ds), "--ckpt", "no/such/file.npz"])
     assert rc == 2

@@ -491,6 +491,57 @@ def test_load_rejects_in_scale_that_is_not_the_previous_output_scale():
         fx.save_model(None, model))
 
 
+def _fc_16_8_8_5():
+    """A frozen fc 16 -> 8 -> 8 -> 5 model on power-of-two scales, so every
+    layer has a shift."""
+    rng = np.random.default_rng(15)
+    layers, in_scale = [], 1 / 256
+    for n_in, n_out, act_bits in [(16, 8, 4), (8, 8, 4), (8, 5, 0)]:
+        act_scale = 0.5 if act_bits else 0.0
+        codes = rng.integers(-8, 8, (n_out, n_in))
+        bias = rng.integers(-50, 51, n_out)
+        layers.append(_fc_layer(codes, bias, 4, act_bits, 0.25, in_scale, act_scale))
+        in_scale = act_scale
+    return fx.freeze(fx.FixedPointModel(input_scale=1 / 256, layers=layers))
+
+
+def test_infer_refuses_a_layer_after_the_final_one():
+    # with the middle output left unrequantized, the last layer would read the
+    # first layer's codes: the shapes match, and the logits would be wrong
+    model = _fc_16_8_8_5()
+    codes = fx.IntTensor(np.random.default_rng(16).integers(0, 256, (4, 16)), 8, False)
+    assert fx.infer(model, codes).shape == (4, 5)
+    model.layers[1].act_bits = 0
+    with pytest.raises(ValueError, match="layer 2 follows the final, unrequantized layer"):
+        fx.infer(model, codes)
+
+
+@pytest.mark.parametrize(
+    "layer,edits,match",
+    [(1, {"act_bits": 0}, "layer 1 has no activation bit-width"),
+     (0, {"shift": 10}, "stored shifts"),
+     (2, {"act_bits": 4, "act_scale": 0.5}, "final layer requantizes")],
+)
+def test_load_rejects_models_outside_the_integer_contract(layer, edits, match):
+    model = _fc_16_8_8_5()
+    blob = fx.save_model(None, model)
+    assert model.shift_only and model.layers[0].shift == 9
+    for name, value in edits.items():
+        setattr(model.layers[layer], name, value)
+    with pytest.raises(fx.FormatError, match=match):
+        fx.load_model(fx.save_model(None, model))
+    assert fx.save_model(None, fx.load_model(blob)) == blob
+
+
+def test_load_derives_the_shifts_a_file_does_not_store():
+    model = _fc_16_8_8_5()
+    blob = fx.save_model(None, model)
+    for fc in model.layers:
+        fc.shift = None
+    model.shift_only = False
+    assert fx.save_model(None, fx.load_model(fx.save_model(None, model))) == blob
+
+
 def test_binary_weight_model_round_trips():
     # 1-bit codes are -1 and +1, both in range for the reader
     rng = np.random.default_rng(14)

@@ -9,6 +9,7 @@ change and says so.
 import hashlib
 
 import numpy as np
+import pytest
 
 from qatforge import compression as cz
 from qatforge import fixedpoint as fx
@@ -63,6 +64,13 @@ POW2 = ScaleState(np.array([0.25, 0.0625, 0.125, 0.0625]), np.array([0.25, 4.0, 
 PLAN_4_4 = [LayerBits(4, 4)] * 3 + [LayerBits(4, None)]
 
 
+def _fxpm_of_archive(seed, scales):
+    """FXPM bytes of the same model by way of a QZIP archive and freeze."""
+    net = _on_grid_net(seed, scales, PLAN_4_4)
+    archive, _ = cz.encode_model(net, None, scales, PLAN_4_4)
+    return fx.save_model(None, fx.freeze(cz.decode_model(archive)))
+
+
 def test_fxpm_multiplier_model_is_pinned():
     model = fx.convert(_on_grid_net(1, MULT, PLAN_4_4), MULT, PLAN_4_4)
     assert not model.shift_only
@@ -74,6 +82,7 @@ def test_fxpm_multiplier_model_is_pinned():
     assert _sha(logits) == "96751dd400eab4cf"
     assert _sha(fx.simulate_float(model, images)) == "80482fba8df0fa14"
     assert _sha(fx.simulate_float(fx.load_model(blob), images)) == "80482fba8df0fa14"
+    assert _sha(_fxpm_of_archive(1, MULT)) == "43ff63abdf512cbe"
 
 
 def test_fxpm_power_of_two_model_is_pinned():
@@ -87,6 +96,7 @@ def test_fxpm_power_of_two_model_is_pinned():
     assert _sha(logits) == "452598708f80e750"
     assert _sha(fx.infer_shift(model, images)) == "452598708f80e750"
     assert _sha(fx.simulate_float(model, images)) == "452598708f80e750"
+    assert _sha(_fxpm_of_archive(2, POW2)) == "d85d005b7fcd01b2"
 
 
 def test_qzip_sparse_model_with_quantized_junctions_is_pinned():
@@ -114,3 +124,8 @@ def test_qzip_model_with_float_junctions_is_pinned():
         assert layer.act_scale == 0.0
     rebuilt = decoded.to_network()
     assert _net_sha(rebuilt) == _net_sha(net) == "95b05b874687d473"
+    # a legal archive, but no integer model: its first output stays float
+    with pytest.raises(ValueError, match="layer 2 follows the final"):
+        fx.infer(decoded, _images())
+    with pytest.raises(ValueError, match="layer 0 has no activation bit-width"):
+        fx.freeze(decoded)
