@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 import struct
 
@@ -108,16 +109,15 @@ class BitWriter:
     def write(self, code, length):
         self.acc = (self.acc << length) | (code & ((1 << length) - 1))
         self.nbits += length
-        while self.nbits >= 8:
-            self.nbits -= 8
-            self.buf.append((self.acc >> self.nbits) & 0xFF)
-        self.acc &= (1 << self.nbits) - 1
+        if self.nbits >= 32:  # flush whole bytes, keep the partial one
+            whole, self.nbits = self.nbits >> 3, self.nbits & 7
+            self.buf += (self.acc >> self.nbits).to_bytes(whole, "big")
+            self.acc &= (1 << self.nbits) - 1
 
     def getvalue(self):
         # zero-pad the final partial byte
-        if self.nbits:
-            return bytes(self.buf) + bytes([(self.acc << (8 - self.nbits)) & 0xFF])
-        return bytes(self.buf)
+        pad = -self.nbits % 8
+        return bytes(self.buf) + (self.acc << pad).to_bytes((self.nbits + pad) // 8, "big")
 
     @property
     def bits_written(self):
@@ -125,31 +125,44 @@ class BitWriter:
 
 
 class BitReader:
+    """MSB-first bit source over bytes, unpacked once to one byte per bit."""
+
     def __init__(self, data):
-        self.data = data
+        self.bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tobytes()
         self.pos = 0  # bit position
 
     def read_bit(self):
-        byte = self.pos >> 3
-        if byte >= len(self.data):
-            raise ValueError(f"bitstream exhausted at bit {self.pos}")
-        bit = (self.data[byte] >> (7 - (self.pos & 7))) & 1
+        try:
+            bit = self.bits[self.pos]
+        except IndexError:
+            raise ValueError(f"bitstream exhausted at bit {self.pos}") from None
         self.pos += 1
         return bit
 
 
 class _Decoder:
+    """Canonical decoding by per-length limits (Moffat and Turpin, 1997):
+    an L-bit prefix that is not yet a codeword is at least first[L], the
+    first canonical codeword of length L, so it is a codeword exactly when it
+    is below limit[L] = first[L] + count[L]. Only the lengths are used."""
+
     def __init__(self, table):
-        self.lookup = {(c, l): s for s, (c, l) in table.items()}
-        self.max_len = max(l for _, l in table.values()) if table else 0
+        self.symbols = sorted(table, key=lambda s: (table[s][1], s))
+        counts = Counter(length for _, length in table.values())
+        self.levels = []  # per length 1..max: (limit, symbol index - codeword)
+        code = index = 0
+        for length in range(1, max(counts, default=0) + 1):
+            count = counts[length]
+            self.levels.append((code + count, index - code))
+            code, index = (code + count) << 1, index + count
 
     def read_symbol(self, reader):
+        read_bit = reader.read_bit
         code = 0
-        for length in range(1, self.max_len + 1):
-            code = (code << 1) | reader.read_bit()
-            sym = self.lookup.get((code, length))
-            if sym is not None:
-                return sym
+        for limit, base in self.levels:
+            code = (code << 1) | read_bit()
+            if code < limit:
+                return self.symbols[code + base]
         raise ValueError(f"invalid codeword near bit {reader.pos}")
 
 
@@ -198,11 +211,19 @@ def _read_varint(buf, pos):
 # --- archive ----------------------------------------------------------------
 
 
-def _gap_tokens(gap):
-    while gap >= GAP_CONT:
-        yield GAP_CONT
-        gap -= GAP_CONT
-    yield gap
+def _layer_stream(codes):
+    """The payload tokens of one layer, as arrays over its nonzero codes in
+    row-major order: flat position, count of GAP_CONT tokens before the
+    gap's final token, that final token (0..254), and the code."""
+    flat = codes.ravel()
+    idx = np.flatnonzero(flat)
+    nfull, rest = np.divmod(np.diff(idx, prepend=-1) - 1, GAP_CONT)
+    return idx, nfull, rest, flat[idx]
+
+
+def _histogram(values):
+    syms, counts = np.unique(values, return_counts=True)
+    return dict(zip(syms.tolist(), counts.tolist()))
 
 
 def encode_model(net, masks, scales, plan):
@@ -235,29 +256,20 @@ def encode_model(net, masks, scales, plan):
     if len({q.act_bits for q in layers if q.act_bits}) > 1:
         raise ValueError("all quantized outputs must share one bit-width")
 
+    streams = [_layer_stream(q.codes) for q in layers]
     if masks is not None:
-        for l, q in enumerate(layers):
-            if np.any(q.codes[~masks[l]] != 0):
+        for l, (idx, *_) in enumerate(streams):
+            if not np.asarray(masks[l]).ravel()[idx].all():
                 raise ValueError(
                     f"layer {l}: mask marks positions as pruned but their "
                     "codes are nonzero"
                 )
 
-    code_counts = {}
-    gap_counts = {}
-    per_layer = []
-    for q in layers:
-        flat = q.codes.ravel()
-        idx = np.flatnonzero(flat)
-        per_layer.append((flat, idx))
-        prev = -1
-        for i in idx:
-            for tok in _gap_tokens(int(i) - prev - 1):
-                gap_counts[tok] = gap_counts.get(tok, 0) + 1
-            sym = int(flat[i])
-            code_counts[sym] = code_counts.get(sym, 0) + 1
-            prev = int(i)
-
+    nfull, rest, syms = (np.concatenate([s[k] for s in streams]) for k in (1, 2, 3))
+    code_counts = _histogram(syms)
+    gap_counts = _histogram(rest)
+    if nfull.any():
+        gap_counts[GAP_CONT] = int(nfull.sum())
     code_table = huffman_build(code_counts) if code_counts else {}
     gap_table = huffman_build(gap_counts) if gap_counts else {}
 
@@ -271,7 +283,7 @@ def encode_model(net, masks, scales, plan):
     for q in model.layers:
         _write_record(out, q)
         if q.kind in ("conv", "fc"):
-            nnz = len(per_layer[pidx][1])
+            nnz = len(streams[pidx][0])
             out += struct.pack(
                 "<dddII", q.weight_scale, q.bias_step, q.act_scale, nnz,
                 q.bias_codes.size,
@@ -289,13 +301,12 @@ def encode_model(net, masks, scales, plan):
     table_bytes = len(out) - header_bytes
 
     writer = BitWriter()
-    for flat, idx in per_layer:
-        prev = -1
-        for i in idx:
-            for tok in _gap_tokens(int(i) - prev - 1):
-                writer.write(*gap_table[tok])
-            writer.write(*code_table[int(flat[i])])
-            prev = int(i)
+    write, cont = writer.write, gap_table.get(GAP_CONT)
+    for n, g, sym in zip(nfull.tolist(), rest.tolist(), syms.tolist()):
+        for _ in range(n):
+            write(*cont)
+        write(*gap_table[g])
+        write(*code_table[sym])
     payload = writer.getvalue()
     out += struct.pack("<I", len(payload))
     out += payload
@@ -396,30 +407,33 @@ def _decode(archive):
         raise FormatError(f"{len(cur.buf) - cur.pos - payload_len} trailing bytes")
 
     reader = BitReader(payload)
-    code_dec = _Decoder(code_table)
-    gap_dec = _Decoder(gap_table)
     lo, hi = code_range(weight_bits)
+    read_gap, read_code = _Decoder(gap_table).read_symbol, _Decoder(code_table).read_symbol
     for layer, nnz in zip(model.param_layers, nnz_list):
-        flat = np.zeros(math.prod(layer.weight_shape), dtype=np.int64)
-        prev = -1
+        size = math.prod(layer.weight_shape)
+        positions, codes = [], []
+        i = -1
         for _ in range(nnz):
             gap = 0
-            while True:
-                tok = gap_dec.read_symbol(reader)
-                gap += tok
-                if tok != GAP_CONT:
-                    break
-            i = prev + 1 + gap
-            if i >= flat.size:
-                raise FormatError(
-                    f"decoded position {i} outside layer of {flat.size} weights"
-                )
-            sym = code_dec.read_symbol(reader)
+            while (tok := read_gap(reader)) == GAP_CONT:
+                gap += GAP_CONT
+            i += 1 + gap + tok
+            if i >= size:
+                raise FormatError(f"decoded position {i} outside layer of {size} weights")
+            sym = read_code(reader)
             if sym == 0 or sym < lo or sym > hi:
                 raise FormatError(f"decoded weight code {sym} out of range")
-            flat[i] = sym
-            prev = i
+            positions.append(i)
+            codes.append(sym)
+        flat = np.zeros(size, dtype=np.int64)
+        flat[positions] = codes
         layer.codes = flat.reshape(layer.weight_shape)
+    if len(payload) != (reader.pos + 7) // 8:
+        raise FormatError(
+            f"payload holds {len(payload)} bytes, its codes end at bit {reader.pos}"
+        )
+    if any(reader.bits[reader.pos :]):
+        raise FormatError("nonzero pad bits after the last codeword")
     return model, header_bytes, table_bytes
 
 

@@ -251,15 +251,21 @@ def convert(net, scales, plan):
 
 def freeze(model: FixedPointModel):
     """Check the integer contract of the IR and set the shift amounts;
-    returns the model. Each parameter layer reads the codes the layer before
-    writes (its in_scale is that layer's act_scale, input_scale for the
-    first); every layer but the last requantizes its output and the last
-    does not; bias codes fit int32; and accumulator_bound is at most
-    2^31 - 1. shift is the exponent of each rescale when every one is a
+    returns the model. Every scale a layer divides by is positive and
+    finite (act_scale where act_bits > 0); each parameter layer reads the
+    codes the layer before writes (its in_scale is that layer's act_scale,
+    input_scale for the first); every layer but the last requantizes its
+    output and the last does not; bias codes fit int32; and
+    accumulator_bound is at most 2^31 - 1. shift is the exponent of each rescale when every one is a
     power of two (shift_only), else None everywhere."""
     params = model.param_layers
     in_bits, in_scale = model.input_bits, model.input_scale
     for l, fx in enumerate(params):
+        for name in ("weight_scale", "in_scale", "act_scale")[: 3 if fx.act_bits else 2]:
+            if _bad_scale(getattr(fx, name)):
+                raise ValueError(
+                    f"layer {l}: {name} {getattr(fx, name)!r} is not positive and finite"
+                )
         if fx.in_scale != in_scale:
             raise ValueError(
                 f"layer {l}: in_scale {fx.in_scale!r} is not the output "

@@ -38,9 +38,15 @@ class QuantSpec:
 
 
 def round_half_away(x):
-    """sign(x) * floor(|x| + 0.5); ties go away from zero."""
+    """sign(x) * floor(|x| + 0.5); ties go away from zero. Computed in one
+    buffer; as with sign(x), -0.0 maps to +0.0 and (-0.5, 0) to -0.0."""
     x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    r = np.abs(x, out=np.empty_like(x))
+    r += 0.5
+    np.floor(r, out=r)
+    np.copysign(r, x, out=r)
+    r[x == 0] = 0.0
+    return r if r.ndim else r[()]
 
 
 def code_signed(x, delta, bits):

@@ -162,9 +162,12 @@ def prune_threshold(weights, ratio):
     smallest |w| with k = ceil(ratio * N); 0.0 when ratio is 0."""
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"prune ratio must lie in [0, 1), got {ratio}")
-    mags = np.sort(np.concatenate([np.abs(np.asarray(w)).ravel() for w in weights]))
+    mags = np.concatenate([np.abs(np.asarray(w)).ravel() for w in weights])
     k = math.ceil(ratio * mags.size)
-    return 0.0 if k == 0 else float(mags[k - 1])
+    if k == 0:
+        return 0.0
+    mags.partition(k - 1)
+    return float(mags[k - 1])
 
 
 def prune_masks(weights, ratio):

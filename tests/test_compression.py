@@ -113,11 +113,41 @@ def test_varint_round_trip():
 
 
 def test_gap_tokens():
-    assert list(cz._gap_tokens(0)) == [0]
-    assert list(cz._gap_tokens(254)) == [254]
-    assert list(cz._gap_tokens(255)) == [255, 0]
-    assert list(cz._gap_tokens(300)) == [255, 45]
-    assert list(cz._gap_tokens(510)) == [255, 255, 0]
+    # gaps of 0, 254, 255, 300 and 510 zeros before each nonzero code
+    gaps = [0, 254, 255, 300, 510]
+    flat = np.zeros(sum(gaps) + len(gaps), dtype=np.int64)
+    flat[np.cumsum(np.add(gaps, 1)) - 1] = [1, -2, 3, -4, 5]
+    idx, nfull, rest, syms = cz._layer_stream(flat.reshape(1, -1))
+    tokens = [[cz.GAP_CONT] * n + [r] for n, r in zip(nfull.tolist(), rest.tolist())]
+    assert tokens == [[0], [254], [255, 0], [255, 45], [255, 255, 0]]
+    assert syms.tolist() == [1, -2, 3, -4, 5]
+    assert np.array_equal(flat[idx], syms)
+
+
+def test_decoder_limits_reach_64_bit_codewords():
+    # Kraft-complete: lengths 1..63 and a second 63, so 64 bits of prefix
+    # state and codewords wider than a float mantissa
+    lengths = {s: s + 1 for s in range(63)}
+    lengths[63] = 63
+    table = cz.canonical_from_lengths(lengths)
+    assert table[63] == ((1 << 63) - 1, 63)
+    stream = np.random.default_rng(6).permutation(np.repeat(np.arange(64), 3)).tolist()
+    w = cz.BitWriter()
+    for s in stream:
+        w.write(*table[s])
+    r = cz.BitReader(w.getvalue())
+    dec = cz._Decoder(table)
+    assert [dec.read_symbol(r) for _ in stream] == stream
+    assert r.pos == w.bits_written
+
+
+def test_decoder_rejects_unassigned_prefix():
+    # an incomplete table: 0 and 10 are codewords, 11 is not
+    dec = cz._Decoder(cz.canonical_from_lengths({"a": 1, "b": 2}))
+    r = cz.BitReader(bytes([0b01011000]))
+    assert [dec.read_symbol(r), dec.read_symbol(r)] == ["a", "b"]
+    with pytest.raises(ValueError, match="invalid codeword"):
+        dec.read_symbol(r)
 
 
 def _model_from_codes(code_arrays, delta, bits, bias_steps=None):
@@ -332,6 +362,25 @@ def test_decode_rejects_malformed():
     # a varint past the int64 range
     with pytest.raises(ValueError, match="int64"):
         cz._read_varint(bytes([0xFF] * 9 + [0x7F]), 0)
+
+
+def test_decode_rejects_unread_payload():
+    rng = np.random.default_rng(7)
+    codes = [_random_codes(rng, (6, 6), 4, 0.5)]
+    net, scales, plan = _model_from_codes(codes, 0.25, 4)
+    blob, meta = cz.encode_model(net, None, scales, plan)
+    start = meta["header_bytes"] + meta["table_bytes"]
+    payload = blob[start + 4 :]
+    assert cz.decode_model(blob) is not None
+    for extra in (1, 3):
+        longer = blob[:start] + struct.pack("<I", len(payload) + extra) + payload + bytes(extra)
+        with pytest.raises(cz.FormatError, match="payload holds"):
+            cz.decode_model(longer)
+    assert meta["payload_bits_used"] % 8  # the last byte has pad bits
+    padded = bytearray(blob)
+    padded[-1] |= 1
+    with pytest.raises(cz.FormatError, match="pad bits"):
+        cz.decode_model(bytes(padded))
 
 
 def test_decode_rejects_bias_step_off_the_input_step():

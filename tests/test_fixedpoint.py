@@ -184,6 +184,19 @@ def test_convert_checks_accumulator_bound():
         fx.convert(net, scales, [LayerBits(8, None)])
 
 
+def test_convert_rejects_a_zero_act_scale():
+    net = net_from_spec([["linear", 4, 3], ["relu"], ["linear", 3, 2]])
+    for layer in net.param_layers:
+        layer.W = np.full(layer.W.shape, 0.1)
+        layer.b = np.full(layer.b.shape, 0.1)
+    scales = ScaleState([0.1, 0.1], [0.0, 1.0], 1 / 255)
+    # from_network divides the next layer's biases by the zero step before
+    # freeze checks the scales
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="layer 0: act_scale 0.0 is not positive"):
+            fx.convert(net, scales, [LayerBits(4, 4), LayerBits(4, None)])
+
+
 def test_infer_matches_simulate_float_random_models():
     rng = np.random.default_rng(5)
     for delta_w, act_scale, input_scale in [

@@ -36,6 +36,20 @@ def test_round_half_away_frozen():
     assert qz.round_half_away(2.5) != np.round(2.5)
 
 
+def test_round_half_away_matches_sign_floor_reference():
+    specials = [0.0, -0.0, 0.2, -0.2, 0.5, -0.5, 2.5, -2.5,
+                0.49999999999999994, -0.49999999999999994, np.inf, -np.inf]
+    rng = np.random.default_rng(11)
+    x = np.concatenate([specials, rng.normal(0, 4, 10**5) * rng.choice([1e-3, 1, 1e3], 10**5)])
+    want = np.sign(x) * np.floor(np.abs(x) + 0.5)
+    # bitwise: -0.0 maps to +0.0 and -0.2 to -0.0, as in the reference
+    assert np.array_equal(qz.round_half_away(x).view(np.int64), want.view(np.int64))
+    for v in (2.5, -0.2, np.asarray(-0.0)):
+        got = qz.round_half_away(v)
+        assert type(got) is np.float64
+        assert np.float64(got).view(np.int64) == (np.sign(v) * np.floor(np.abs(v) + 0.5)).view(np.int64)
+
+
 def test_signed_codes_frozen_examples():
     assert qz.code_signed(0.5, 0.5, 2) == 1.0
     assert qz.quantize_signed(0.5, 0.5, 2) == 0.5

@@ -197,6 +197,15 @@ def test_prune_threshold_brute_force():
         assert kept.sum() <= mags.size * (1 - ratio) + 1e-9
 
 
+def test_prune_threshold_with_many_ties():
+    rng = np.random.default_rng(10)
+    layers = [rng.choice([0.0, 0.5, -0.5, 1.0, -2.0], (7, 9)), rng.choice([0.0, -1.0, 2.0], 40)]
+    mags = np.sort(np.abs(np.concatenate([w.ravel() for w in layers])))
+    for k in range(1, mags.size):
+        ratio = (k - 0.5) / mags.size  # ceil(ratio * N) == k
+        assert rg.prune_threshold(layers, ratio) == mags[k - 1]
+
+
 def test_partial_l2_frozen_examples():
     # strict band: only |0.1| < 0.2 contributes -> 0.01/4
     got = rg.partial_l2([np.array([0.1, -0.2, 0.3, -0.4])], 0.2, 4)
