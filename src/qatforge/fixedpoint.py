@@ -256,16 +256,16 @@ def freeze(model: FixedPointModel):
     codes the layer before writes (its in_scale is that layer's act_scale,
     input_scale for the first); every layer but the last requantizes its
     output and the last does not; bias codes fit int32; and
-    accumulator_bound is at most 2^31 - 1. shift is the exponent of each rescale when every one is a
-    power of two (shift_only), else None everywhere."""
+    accumulator_bound is at most 2^31 - 1. shift is the exponent of each
+    rescale when every one is a power of two (shift_only), else None
+    everywhere."""
     params = model.param_layers
     in_bits, in_scale = model.input_bits, model.input_scale
     for l, fx in enumerate(params):
         for name in ("weight_scale", "in_scale", "act_scale")[: 3 if fx.act_bits else 2]:
-            if _bad_scale(getattr(fx, name)):
-                raise ValueError(
-                    f"layer {l}: {name} {getattr(fx, name)!r} is not positive and finite"
-                )
+            value = getattr(fx, name)
+            if _bad_scale(value):
+                raise ValueError(f"layer {l}: {name} {value!r} is not positive and finite")
         if fx.in_scale != in_scale:
             raise ValueError(
                 f"layer {l}: in_scale {fx.in_scale!r} is not the output "
@@ -278,7 +278,8 @@ def freeze(model: FixedPointModel):
             )
         if fx.act_bits and l == len(params) - 1:
             raise ValueError(f"layer {l}: the final layer requantizes its logits")
-        if fx.bias_codes.size and np.abs(fx.bias_codes).max() > INT32_MAX:
+        bias = fx.bias_codes  # compared as Python ints: np.abs(-2**63) < 0 in int64
+        if bias.size and max(-int(bias.min()), int(bias.max())) > INT32_MAX:
             raise ValueError(f"layer {l}: bias codes exceed 32-bit range")
         bound = accumulator_bound(fx, in_bits)
         if bound > INT32_MAX:

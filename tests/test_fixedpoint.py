@@ -197,6 +197,18 @@ def test_convert_rejects_a_zero_act_scale():
             fx.convert(net, scales, [LayerBits(4, 4), LayerBits(4, None)])
 
 
+def test_convert_rejects_a_bias_code_that_wraps_int64():
+    net = net_from_spec([["linear", 4, 3], ["relu"], ["linear", 3, 2]])
+    for layer in net.param_layers:
+        layer.W = np.full(layer.W.shape, 0.1)
+        layer.b = np.full(layer.b.shape, 0.1)
+    net.param_layers[0].b[0] = 1e300  # its code casts to -2**63
+    scales = ScaleState([0.1, 0.1], [0.5, 1.0], 1 / 255)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="layer 0: bias codes exceed 32-bit range"):
+            fx.convert(net, scales, [LayerBits(4, 4), LayerBits(4, None)])
+
+
 def test_infer_matches_simulate_float_random_models():
     rng = np.random.default_rng(5)
     for delta_w, act_scale, input_scale in [
