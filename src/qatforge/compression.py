@@ -258,8 +258,11 @@ def encode_model(net, masks, scales, plan):
 
     streams = [_layer_stream(q.codes) for q in layers]
     if masks is not None:
-        for l, (idx, *_) in enumerate(streams):
-            if not np.asarray(masks[l]).ravel()[idx].all():
+        for l, (q, (idx, *_)) in enumerate(zip(layers, streams)):
+            mask = np.asarray(masks[l])
+            if mask.shape != q.codes.shape:
+                raise ValueError(f"layer {l}: mask shape {mask.shape} is not {q.codes.shape}")
+            if not mask.ravel()[idx].all():
                 raise ValueError(
                     f"layer {l}: mask marks positions as pruned but their "
                     "codes are nonzero"

@@ -174,7 +174,8 @@ class FixedPointModel:
         weight codes code_signed(W), bias codes round(b / bias_step), and an
         input step per layer of input_scale, the previous layer's act_scale,
         or 1.0 after an output left in float. It refuses a layer with no
-        weight bit-width; freeze checks the rest of the integer contract."""
+        weight bit-width and, before the division or cast, a bad scale or a
+        bias code outside int32; freeze checks the rest of the contract."""
         model = cls(input_scale=float(scales.input_scale))
         params, pidx, in_scale = net.param_layers, 0, model.input_scale
         for entry in net_spec(net):
@@ -191,11 +192,13 @@ class FixedPointModel:
                 layer.weight_scale = float(scales.weight_scales[pidx])
                 layer.in_scale = in_scale
                 if p.acts is not None:
-                    layer.act_scale = float(scales.act_scales[pidx])
+                    layer.act_scale = _scale(pidx, "act_scale", float(scales.act_scales[pidx]))
                 code = qz.code_signed(params[pidx].W, layer.weight_scale, p.weights)
                 layer.codes = code.astype(np.int64)
-                bias = qz.round_half_away(params[pidx].b / layer.bias_step)
-                layer.bias_codes = bias.astype(np.int64)
+                bias = params[pidx].b / _scale(pidx, "bias_step", layer.bias_step)
+                if not (np.abs(bias) <= INT32_MAX).all():  # nan fails too
+                    raise ValueError(f"layer {pidx}: bias codes exceed 32-bit range")
+                layer.bias_codes = qz.round_half_away(bias).astype(np.int64)
                 in_scale = layer.act_scale if p.acts is not None else 1.0
                 pidx += 1
             model.layers.append(layer)
@@ -251,21 +254,18 @@ def convert(net, scales, plan):
 
 def freeze(model: FixedPointModel):
     """Check the integer contract of the IR and set the shift amounts;
-    returns the model. Every scale a layer divides by is positive and
-    finite (act_scale where act_bits > 0); each parameter layer reads the
-    codes the layer before writes (its in_scale is that layer's act_scale,
-    input_scale for the first); every layer but the last requantizes its
-    output and the last does not; bias codes fit int32; and
-    accumulator_bound is at most 2^31 - 1. shift is the exponent of each
-    rescale when every one is a power of two (shift_only), else None
-    everywhere."""
+    returns the model. Its scales are positive and finite (act_scale where
+    act_bits > 0); each parameter layer reads the codes the layer before
+    writes (its in_scale is that layer's act_scale, input_scale for the
+    first); every layer but the last requantizes its output and the last
+    does not; bias codes fit int32; and accumulator_bound is at most
+    2^31 - 1. shift is the exponent of each rescale when every one is a
+    power of two (shift_only), else None everywhere."""
     params = model.param_layers
     in_bits, in_scale = model.input_bits, model.input_scale
     for l, fx in enumerate(params):
         for name in ("weight_scale", "in_scale", "act_scale")[: 3 if fx.act_bits else 2]:
-            value = getattr(fx, name)
-            if _bad_scale(value):
-                raise ValueError(f"layer {l}: {name} {value!r} is not positive and finite")
+            _scale(l, name, getattr(fx, name))
         if fx.in_scale != in_scale:
             raise ValueError(
                 f"layer {l}: in_scale {fx.in_scale!r} is not the output "
@@ -512,6 +512,13 @@ class FormatError(ValueError):
 def _bad_scale(x):
     """True unless x is a positive, finite number."""
     return not 0.0 < x < math.inf
+
+
+def _scale(l, name, value):
+    """value, once checked positive and finite; ValueError naming layer l."""
+    if _bad_scale(value):
+        raise ValueError(f"layer {l}: {name} {value!r} is not positive and finite")
+    return value
 
 
 class _Cursor:

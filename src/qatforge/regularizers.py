@@ -164,10 +164,9 @@ def prune_threshold(weights, ratio):
         raise ValueError(f"prune ratio must lie in [0, 1), got {ratio}")
     mags = np.concatenate([np.abs(np.asarray(w)).ravel() for w in weights])
     k = math.ceil(ratio * mags.size)
-    if k == 0:
-        return 0.0
-    mags.partition(k - 1)
-    return float(mags[k - 1])
+    if k:
+        mags.partition(k - 1)
+    return 0.0 if k == 0 else float(mags[k - 1])
 
 
 def prune_masks(weights, ratio):

@@ -247,6 +247,9 @@ def test_mask_consistency_enforced():
     masks[0][0, 0] = True
     blob, _ = cz.encode_model(net, masks, scales, plan)
     assert cz.decode_model(blob) is not None
+    for shape in [(25,), (6, 5)]:  # same element count, or more elements
+        with pytest.raises(ValueError, match="mask shape"):
+            cz.encode_model(net, [np.ones(shape, dtype=bool)], scales, plan)
 
 
 def test_off_grid_weights_refused():

@@ -1,6 +1,8 @@
 """Integer-only inference: hand-traced examples, conversion rules, the
 float-simulation oracle, and the serialized model format."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -190,9 +192,8 @@ def test_convert_rejects_a_zero_act_scale():
         layer.W = np.full(layer.W.shape, 0.1)
         layer.b = np.full(layer.b.shape, 0.1)
     scales = ScaleState([0.1, 0.1], [0.0, 1.0], 1 / 255)
-    # from_network divides the next layer's biases by the zero step before
-    # freeze checks the scales
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before the next layer divides by it
         with pytest.raises(ValueError, match="layer 0: act_scale 0.0 is not positive"):
             fx.convert(net, scales, [LayerBits(4, 4), LayerBits(4, None)])
 
@@ -202,11 +203,18 @@ def test_convert_rejects_a_bias_code_that_wraps_int64():
     for layer in net.param_layers:
         layer.W = np.full(layer.W.shape, 0.1)
         layer.b = np.full(layer.b.shape, 0.1)
-    net.param_layers[0].b[0] = 1e300  # its code casts to -2**63
     scales = ScaleState([0.1, 0.1], [0.5, 1.0], 1 / 255)
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(ValueError, match="layer 0: bias codes exceed 32-bit range"):
-            fx.convert(net, scales, [LayerBits(4, 4), LayerBits(4, None)])
+    # codes that an int64 cast would wrap (1e300, inf) or make platform-defined (nan)
+    for bias in [1e300, -np.inf, np.nan]:
+        net.param_layers[0].b[0] = bias
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before the cast
+            with pytest.raises(ValueError, match="layer 0: bias codes exceed 32-bit range"):
+                fx.convert(net, scales, [LayerBits(4, 4), LayerBits(4, None)])
+    # a stored code can be -2**63 itself, whose np.abs is negative
+    layer = _fc_layer([[1]], [-2**63], wbits=2, abits=0, d=0.5, din=0.25, dout=0.0)
+    with pytest.raises(ValueError, match="layer 0: bias codes exceed 32-bit range"):
+        fx.freeze(fx.FixedPointModel(input_scale=0.25, input_bits=8, layers=[layer]))
 
 
 def test_infer_matches_simulate_float_random_models():

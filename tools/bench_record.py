@@ -3,17 +3,19 @@
     python tools/bench_record.py --pr 13 --pairs 10 --parent ../parent
     python tools/bench_record.py --pr 13 --pairs 3 --workloads train --seeds 1 4
 
-Each run is `perfbench/run.py --trace 0` at the manifest's length, in its
-own checkout (the change is this script's checkout unless --checkout says
-otherwise). With --parent, pair i runs both sides back to back, the parent
-first in even pairs and the change first in odd ones, so that a slow phase
-of the machine falls on both sides alike. Seeds cycle over the pairs.
+Each run is `perfbench/run.py --trace 0` at the manifest's run_seconds, in
+its own checkout: the change is this script's checkout. With --parent, pair
+i runs both sides back to back, the parent first in even pairs and the
+change first in odd ones, so that a slow phase of the machine falls on both
+sides alike. Seeds cycle over the pairs.
 
-BENCH_<pr>.json holds, per workload and side, the round_s and setup_s
-samples with their medians and quartiles and the median of each operation's
-`samples` medians; per workload, how many pairs the change won on each
-metric; and the numpy version, its BLAS, the core count, the BLAS threads
-(run.py pins one) and the git revision of each side.
+BENCH_<pr>.json, written at the root of this checkout, holds the recorder's
+command line and the run.py argv of every run (as a template); per workload
+and side, the round_s and setup_s samples with their medians and quartiles
+and the median of each operation's `samples` medians; per workload, how many
+pairs the change won on each metric; and the numpy version, its BLAS, the
+core count, the BLAS threads (run.py pins one) and the git revision of each
+side.
 """
 
 from __future__ import annotations
@@ -125,10 +127,14 @@ def environment():
     }
 
 
+def run_argv(workload, seed, seconds):
+    return ["python3", "perfbench/run.py", "--workload", str(workload), "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+
+
 def run_once(checkout, workload, seed, seconds):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+        [sys.executable, *run_argv(workload, seed, seconds)[1:]],
         cwd=checkout, capture_output=True, text=True, timeout=seconds * 3 + 300,
     )
     if proc.returncode != 0:
@@ -136,24 +142,19 @@ def run_once(checkout, workload, seed, seconds):
     return parse_run(proc.stdout)
 
 
-def main(argv=None):
+def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", required=True, help="names the output, BENCH_<pr>.json")
-    p.add_argument("--checkout", type=Path, default=ROOT, help="the change's checkout")
     p.add_argument("--parent", type=Path, help="the parent's checkout, for paired runs")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--workloads", nargs="+", default=None)
     p.add_argument("--seeds", type=int, nargs="+", default=[1])
-    p.add_argument("--seconds", type=float, default=None,
-                   help="run length; the manifest's run_seconds by default")
-    p.add_argument("--out", type=Path, default=None)
-    args = p.parse_args(argv)
+    args = p.parse_args()
 
-    manifest = json.loads((args.checkout / "BENCHMARK.json").read_text())
+    manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in manifest["workloads"]]
-    seconds = args.seconds or manifest["run_seconds"]
-    sides = {"change": args.checkout} if args.parent is None else {
-        "parent": args.parent, "change": args.checkout}
+    seconds = manifest["run_seconds"]
+    sides = {"change": ROOT} if args.parent is None else {"parent": args.parent, "change": ROOT}
     runs = []
     for workload in workloads:
         for pair in range(args.pairs):
@@ -167,13 +168,13 @@ def main(argv=None):
                       f" setup_s {run['setup_s']:.4f} failed {run['failed']}", flush=True)
     record = {
         "pr": args.pr,
-        "command": manifest["command"] + ["--trace", "0"],
-        "seconds": seconds,
+        "recorder": ["python3", "tools/bench_record.py", *sys.argv[1:]],
+        "run": run_argv("{workload}", "{seed}", seconds),
         "revisions": {side: revision(path) for side, path in sides.items()},
         "environment": environment(),
         "workloads": summarize(runs),
     }
-    out = args.out or Path(f"BENCH_{args.pr}.json")
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
     return 0
