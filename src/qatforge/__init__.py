@@ -21,7 +21,6 @@ from .quantizers import (
 from .regularizers import (
     activation_terms,
     grid_terms,
-    msqe_activations,
     msqe_weights,
     msqe_weights_grad,
     partial_l2,
@@ -30,7 +29,6 @@ from .regularizers import (
     pow2_penalty_grad,
     prune_masks,
     prune_threshold,
-    scale_grad_activations,
     scale_grad_weights,
     weight_terms,
 )
@@ -48,16 +46,11 @@ from .mnist import MnistSet, data_root, load_mnist
 from .training import (
     Adam,
     Checkpoint,
-    LayerBits,
-    QuantTap,
     RegState,
-    ScaleState,
     TrainConfig,
     TrainLog,
     TrainResult,
-    bias_grid_step,
     evaluate,
-    grad_lambda,
     grad_log_lambda,
     init_scales,
     load_checkpoint,
@@ -70,6 +63,10 @@ from .fixedpoint import (
     FixedPointModel,
     FxLayer,
     IntTensor,
+    LayerBits,
+    QuantTap,
+    ScaleState,
+    bias_grid_step,
     convert,
     freeze,
     infer,

@@ -32,7 +32,6 @@ from .mnist import data_root, load_mnist
 from .models import build_lenet
 from .training import (
     Checkpoint,
-    QuantTap,
     TrainConfig,
     evaluate,
     load_checkpoint,
@@ -214,7 +213,7 @@ def _run_training(cfg: ExperimentConfig, init_ckpt=None):
 def _eval_checkpoint(ckpt: Checkpoint, data):
     plan = quant_plan(len(ckpt.net.param_layers), ckpt.config)
     quantized = any(p.weights is not None or p.acts is not None for p in plan)
-    tap = QuantTap(plan, ckpt.scales) if quantized else None
+    tap = fx.QuantTap(plan, ckpt.scales) if quantized else None
     return evaluate(
         ckpt.net,
         data.test_images,

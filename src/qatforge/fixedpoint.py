@@ -28,8 +28,11 @@ every partial sum is an integer no larger than the bound, so a float32 GEMM
 is exact below 2^24 and a float64 GEMM below 2^53, and both run on BLAS.
 int64 is left for wider hand-built layers.
 
-simulate_float runs the same model in real arithmetic: to_network() through
-the training-time quantizer tap. It is the equivalence oracle for infer.
+The bit plan (LayerBits), the scales (ScaleState), the input-step and
+bias-grid rule and the quantizer tap (QuantTap) also live here, below
+training: the training forward runs through QuantTap, and so does
+simulate_float, the equivalence oracle for infer, which runs the same model
+in real arithmetic as to_network() through that tap.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ import numpy as np
 from . import quantizers as qz
 from .models import net_from_spec, net_spec
 from .nn import im2col, max_pool
-from .training import LayerBits, QuantTap, ScaleState
 
 INT32_MAX = 2**31 - 1
 MAGIC = b"FXPM"
@@ -60,6 +62,91 @@ _RECORDS = {
     "flatten": (5, "<", ()),
 }
 _TAG_KINDS = {tag: kind for kind, (tag, _, _) in _RECORDS.items()}
+
+
+# --- the bit plan, the scales and the quantizer tap ------------------------
+
+
+@dataclass(frozen=True)
+class LayerBits:
+    weights: int | None
+    acts: int | None
+
+
+@dataclass
+class ScaleState:
+    """Per-parameter-layer quantizer scales.
+
+    weight_scales[l] is the weight cell size of layer l; act_scales[l] is the
+    cell size of the quantized output block of layer l (the input of layer
+    l+1), so the final slot exists but is never consumed. input_scale is the
+    fixed encoding of the network input.
+    """
+
+    weight_scales: np.ndarray
+    act_scales: np.ndarray
+    input_scale: float
+
+
+def input_step(plan, scales: ScaleState, idx):
+    """Real value of one input code step of layer idx: the input encoding
+    for the first layer, else the scale of the previous layer's quantized
+    output, or 1.0 when that output stays in float (it has no grid)."""
+    if idx == 0:
+        return float(scales.input_scale)
+    return float(scales.act_scales[idx - 1]) if plan[idx - 1].acts is not None else 1.0
+
+
+def bias_grid_step(plan, scales: ScaleState, idx):
+    """Bias grid of layer idx: delta_l times its input step, the step of one
+    accumulator unit. Without an input grid biases ride the weight grid."""
+    return float(scales.weight_scales[idx]) * input_step(plan, scales, idx)
+
+
+class QuantTap:
+    """Routes a forward pass through the quantizers.
+
+    weights() substitutes grid values built from the float masters and caches
+    codes and quantized copies for the regularizer terms of the same step;
+    activation() keeps the pre-tap values of every junction (for the
+    activation MSQE, its scale gradient and init_scales' calibration) and
+    quantizes those the plan gives bits; activation_backward() applies the
+    straight-through mask.
+    """
+
+    def __init__(self, plan, scales: ScaleState):
+        self.plan = plan
+        self.scales = scales
+        n = len(plan)
+        self.wcode = [None] * n
+        self.wq = [None] * n
+        self.bq = [None] * n
+        self.pre_acts = [None] * n
+
+    def weights(self, idx, w, b):
+        bits = self.plan[idx].weights
+        if bits is None:
+            return w, b
+        d = float(self.scales.weight_scales[idx])
+        code = qz.code_signed(w, d, bits)
+        wq = d * code
+        bq = qz.snap_to_grid(b, bias_grid_step(self.plan, self.scales, idx))
+        self.wcode[idx], self.wq[idx], self.bq[idx] = code, wq, bq
+        return wq, bq
+
+    def activation(self, idx, x):
+        self.pre_acts[idx] = x
+        bits = self.plan[idx].acts
+        if bits is None:
+            return x
+        return qz.quantize_unsigned(x, float(self.scales.act_scales[idx]), bits)
+
+    def activation_backward(self, idx, g):
+        bits = self.plan[idx].acts
+        if bits is None:
+            return g
+        d = float(self.scales.act_scales[idx])
+        return g * qz.ste_activation_passmask(self.pre_acts[idx], d, bits)
 
 
 def code_range(bits):
@@ -171,13 +258,12 @@ class FixedPointModel:
     @classmethod
     def from_network(cls, net, scales, plan):
         """The model a trained network, its scales and its bit plan define:
-        weight codes code_signed(W), bias codes round(b / bias_step), and an
-        input step per layer of input_scale, the previous layer's act_scale,
-        or 1.0 after an output left in float. It refuses a layer with no
+        weight codes code_signed(W), bias codes round(b / bias_step), and the
+        input step of each layer from input_step. It refuses a layer with no
         weight bit-width and, before the division or cast, a bad scale or a
         bias code outside int32; freeze checks the rest of the contract."""
         model = cls(input_scale=float(scales.input_scale))
-        params, pidx, in_scale = net.param_layers, 0, model.input_scale
+        params, pidx = net.param_layers, 0
         for entry in net_spec(net):
             kind = "fc" if entry[0] == "linear" else entry[0]
             layer = FxLayer(kind, **dict(zip(_RECORDS[kind][2], entry[1:])))
@@ -190,7 +276,7 @@ class FixedPointModel:
                     )
                 layer.weight_bits, layer.act_bits = p.weights, p.acts or 0
                 layer.weight_scale = float(scales.weight_scales[pidx])
-                layer.in_scale = in_scale
+                layer.in_scale = input_step(plan, scales, pidx)
                 if p.acts is not None:
                     layer.act_scale = _scale(pidx, "act_scale", float(scales.act_scales[pidx]))
                 code = qz.code_signed(params[pidx].W, layer.weight_scale, p.weights)
@@ -199,7 +285,6 @@ class FixedPointModel:
                 if not (np.abs(bias) <= INT32_MAX).all():  # nan fails too
                     raise ValueError(f"layer {pidx}: bias codes exceed 32-bit range")
                 layer.bias_codes = qz.round_half_away(bias).astype(np.int64)
-                in_scale = layer.act_scale if p.acts is not None else 1.0
                 pidx += 1
             model.layers.append(layer)
         return model

@@ -2,7 +2,7 @@
 
 Layers own their parameters as float64 arrays and cache whatever backward
 needs during forward. A Network chains layers and optionally routes
-parameters and inter-layer activations through a tap (see training.QuantTap):
+parameters and inter-layer activations through a tap (see fixedpoint.QuantTap):
 the tap may substitute quantized copies for the forward pass while the float
 masters keep receiving updates, and it owns the straight-through backward
 rule at the activation junctions. Linear weights are (out, in), conv

@@ -78,11 +78,6 @@ def _weight_terms(w, delta, bits, lam, count):
     return weight_terms(w, code_signed(w, delta, bits), delta, bits, lam, count)
 
 
-def _grid_terms(values, step):
-    values = np.asarray(values, dtype=np.float64)
-    return grid_terms(values, snap_to_grid(values, step), step, 1.0, 1)
-
-
 def msqe_weights(weights, deltas, bits):
     """Mean squared quantization error over all layers pooled.
 
@@ -111,31 +106,17 @@ def msqe_weights_grad(w, delta, bits, count):
     return _weight_terms(w, delta, bits, 1.0, count)[1]
 
 
-def msqe_activations(acts, delta, bits):
-    """Per-layer mean squared quantization error of an activation batch."""
-    return activation_terms(acts, delta, bits, 1.0)[0]
-
-
 def grid_msqe_sum(values, step):
     """Sum of squared distances to the nearest multiple of step (unclipped
     grid; used for biases riding the accumulator scale)."""
-    return _grid_terms(values, step)[0]
-
-
-def grid_msqe_grad(values, step):
-    """d/dvalues of grid_msqe_sum, zero at grid midpoints."""
-    return _grid_terms(values, step)[1]
+    values = np.asarray(values, dtype=np.float64)
+    return grid_terms(values, snap_to_grid(values, step), step, 1.0, 1)[0]
 
 
 def scale_grad_weights(w, delta, bits, lam, count):
     """d/d(delta) of lam * (1/N) sum (w - delta*code)^2, code held fixed:
     -(2*lam/N) * sum (w - Q(w)) * code, boundary points excluded."""
     return _weight_terms(w, delta, bits, lam, count)[2]
-
-
-def scale_grad_activations(acts, delta, bits, zeta):
-    """Unsigned analog of scale_grad_weights with the per-layer 1/|A| norm."""
-    return activation_terms(acts, delta, bits, zeta)[1]
 
 
 def pow2_penalty(scales):

@@ -48,6 +48,7 @@ import numpy as np
 
 from . import quantizers as qz
 from . import regularizers as rg
+from .fixedpoint import LayerBits, QuantTap, ScaleState, bias_grid_step
 from .models import net_from_spec, net_spec
 from .nn import softmax_xent
 
@@ -113,26 +114,6 @@ class TrainConfig:
 
 
 @dataclass
-class ScaleState:
-    """Per-parameter-layer quantizer scales.
-
-    weight_scales[l] is the weight cell size of layer l; act_scales[l] is the
-    cell size of the quantized output block of layer l (the input of layer
-    l+1), so the final slot exists but is never consumed. input_scale is the
-    fixed encoding of the network input.
-    """
-
-    weight_scales: np.ndarray
-    act_scales: np.ndarray
-    input_scale: float
-
-    def copy(self):
-        return ScaleState(
-            np.array(self.weight_scales), np.array(self.act_scales), self.input_scale
-        )
-
-
-@dataclass
 class RegState:
     """Learned and fixed regularization coefficients, log-parameterized so
     the learned ones stay positive."""
@@ -168,12 +149,6 @@ class RegState:
         return cost
 
 
-@dataclass(frozen=True)
-class LayerBits:
-    weights: int | None
-    acts: int | None
-
-
 def quant_plan(num_layers, cfg: TrainConfig):
     """Per-layer bit assignment. acts[l] covers the output of layer l; the
     final layer's logits are never quantized."""
@@ -192,63 +167,6 @@ def quant_plan(num_layers, cfg: TrainConfig):
     return plan
 
 
-def bias_grid_step(plan, scales: ScaleState, idx):
-    """Bias grid of layer idx: delta_l times the scale of the layer's input
-    map (the input encoding for the first layer). Without activation
-    quantization there is no input grid and biases ride the weight grid."""
-    d = float(scales.weight_scales[idx])
-    if idx == 0:
-        return d * scales.input_scale
-    prev = plan[idx - 1].acts
-    return d * float(scales.act_scales[idx - 1]) if prev is not None else d
-
-
-class QuantTap:
-    """Routes a forward pass through the quantizers.
-
-    weights() substitutes grid values built from the float masters and caches
-    codes and quantized copies for the regularizer terms of the same step;
-    activation() keeps the pre-tap values of every junction (for the
-    activation MSQE, its scale gradient and init_scales' calibration) and
-    quantizes those the plan gives bits; activation_backward() applies the
-    straight-through mask.
-    """
-
-    def __init__(self, plan, scales: ScaleState):
-        self.plan = plan
-        self.scales = scales
-        n = len(plan)
-        self.wcode = [None] * n
-        self.wq = [None] * n
-        self.bq = [None] * n
-        self.pre_acts = [None] * n
-
-    def weights(self, idx, w, b):
-        bits = self.plan[idx].weights
-        if bits is None:
-            return w, b
-        d = float(self.scales.weight_scales[idx])
-        code = qz.code_signed(w, d, bits)
-        wq = d * code
-        bq = qz.snap_to_grid(b, bias_grid_step(self.plan, self.scales, idx))
-        self.wcode[idx], self.wq[idx], self.bq[idx] = code, wq, bq
-        return wq, bq
-
-    def activation(self, idx, x):
-        self.pre_acts[idx] = x
-        bits = self.plan[idx].acts
-        if bits is None:
-            return x
-        return qz.quantize_unsigned(x, float(self.scales.act_scales[idx]), bits)
-
-    def activation_backward(self, idx, g):
-        bits = self.plan[idx].acts
-        if bits is None:
-            return g
-        d = float(self.scales.act_scales[idx])
-        return g * qz.ste_activation_passmask(self.pre_acts[idx], d, bits)
-
-
 class Adam:
     """Adaptive moment optimizer for one array (or scalar)."""
 
@@ -262,23 +180,17 @@ class Adam:
         grad = np.asarray(grad, dtype=np.float64)
         self.t += 1
         b1, b2, t = self.beta1, self.beta2, self.t
-        if self.m.ndim == 0:
-            self.m = b1 * self.m + (1.0 - b1) * grad
-            self.v = b2 * self.v + (1.0 - b2) * grad * grad
-            mhat = self.m / (1.0 - b1**t)
-            vhat = self.v / (1.0 - b2**t)
-            return -lr * mhat / (np.sqrt(vhat) + self.eps)
-        # the same operations in the same order, in place: m and v are
-        # updated where they are, and two temporaries hold the rest
+        # in place: m and v are updated where they are, and two temporaries,
+        # arrays also for a 0-d state, hold the rest
         m, v = self.m, self.v
-        out = (1.0 - b1) * grad
+        out = np.multiply(grad, 1.0 - b1, out=np.empty_like(grad))
         m *= b1
         m += out
         np.multiply(grad, 1.0 - b2, out=out)
         out *= grad
         v *= b2
         v += out
-        den = v / (1.0 - b2**t)
+        den = np.divide(v, 1.0 - b2**t, out=np.empty_like(v))
         np.sqrt(den, out=den)
         den += self.eps
         np.divide(m, 1.0 - b1**t, out=out)
@@ -314,16 +226,17 @@ class TrainResult:
 # --- closed-form update rules ----------------------------------------------
 
 
-def grad_lambda(reg_value, alpha, lam):
-    """dC/dlam for C = lam*reg - alpha*log(lam); zero at lam = alpha/reg."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    return reg_value - alpha / lam
-
-
 def grad_log_lambda(reg_value, alpha, lam):
-    """The same gradient in omega = log(lam) coordinates: lam*reg - alpha."""
+    """dC/domega for C = lam*reg - alpha*log(lam) in omega = log(lam)
+    coordinates: lam*reg - alpha, zero at lam = alpha/reg."""
     return lam * reg_value - alpha
+
+
+def _log_coeff_step(log_c, value, beta, adam, lr):
+    """One Adam step of a learned coefficient c = exp(log_c) on its cost
+    c*value - beta*log(c) (lam on R, gamma on T), capped at LOG_COEFF_CAP."""
+    g = grad_log_lambda(value, beta, float(np.exp(log_c)))
+    return min(log_c + float(adam.step(g, lr)), LOG_COEFF_CAP)
 
 
 # --- initialization and cost terms ----------------------------------------
@@ -362,25 +275,6 @@ def init_scales(net, plan, calib_images, input_scale, masks=None):
     return ScaleState(wscales, ascales, input_scale)
 
 
-def _model_msqe(net, plan, scales):
-    """(R, N): pooled weight+bias MSQE of the quantized layers and the
-    parameter count N it is normalized by."""
-    total = 0.0
-    count = 0
-    for l, layer in enumerate(net.param_layers):
-        bits = plan[l].weights
-        if bits is None:
-            continue
-        d = float(scales.weight_scales[l])
-        code = qz.code_signed(layer.W, d, bits)
-        total += rg.weight_terms(layer.W, code, d, bits, 1.0, 1)[0]
-        total += rg.grid_msqe_sum(layer.b, bias_grid_step(plan, scales, l))
-        count += layer.W.size + layer.b.size
-    if count == 0:
-        return 0.0, 0
-    return total / count, count
-
-
 def _pow2_terms(scales, plan):
     """(T_w, T_a): the power-of-two penalties of the quantized weight and
     activation scales; T_w is 0.0 without quantized weights and T_a is None
@@ -404,34 +298,38 @@ def evaluate(net, images, labels, input_scale, tap=None, batch=1000):
 
 
 def snap_to_levels(net, scales, plan):
-    """Terminal consolidation: overwrite the float masters with their grid
-    values. The quantized forward is identical before and after."""
+    """Terminal consolidation: overwrite the float masters with the grid
+    values the tap gives them. The quantized forward is identical before and
+    after."""
+    tap = QuantTap(plan, scales)
     for l, layer in enumerate(net.param_layers):
-        bits = plan[l].weights
-        if bits is None:
-            continue
-        d = float(scales.weight_scales[l])
-        layer.W = np.asarray(qz.quantize_signed(layer.W, d, bits))
-        layer.b = np.asarray(qz.snap_to_grid(layer.b, bias_grid_step(plan, scales, l)))
+        layer.W, layer.b = tap.weights(l, layer.W, layer.b)
 
 
 def _convergence_stats(net, plan, scales):
-    """Pre-consolidation residuals: worst |w - Q(w)| / delta per layer plus
-    the pooled MSQE, for the diagnostics record."""
+    """Pre-consolidation residuals, from the grid values the tap gives: the
+    worst |w - Q(w)| / delta per layer, and weight_msqe, the pooled weight
+    and bias MSQE R over the N parameters of the quantized layers."""
+    tap = QuantTap(plan, scales)
     stats = {}
     worst = 0.0
+    total = 0.0
+    count = 0
     for l, layer in enumerate(net.param_layers):
-        bits = plan[l].weights
-        if bits is None:
+        if plan[l].weights is None:
             continue
+        wq, bq = tap.weights(l, layer.W, layer.b)
         d = float(scales.weight_scales[l])
-        err = np.abs(layer.W - d * qz.code_signed(layer.W, d, bits))
-        rel = float(err.max()) / d if err.size else 0.0
+        err = layer.W - wq
+        rel = float(np.abs(err).max()) / d if err.size else 0.0
         stats[f"layer{l}_max_err_over_delta"] = rel
         worst = max(worst, rel)
-    r_value, _ = _model_msqe(net, plan, scales)
+        total += float(np.sum(err * err))
+        err = layer.b - bq
+        total += float(np.sum(err * err))
+        count += layer.W.size + layer.b.size
     stats["max_err_over_delta"] = worst
-    stats["weight_msqe"] = r_value
+    stats["weight_msqe"] = total / count if count else 0.0
     return stats
 
 
@@ -578,22 +476,16 @@ def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
                 # takes them with the coefficients of this step, before update
                 t_w, t_a = _pow2_terms(scales, plan) if pow2 else (None, None)
                 cost = reg.cost(task, r_value, s_total, t_w, t_a)
-                g_om = grad_log_lambda(r_value, reg.alpha, lam)
-                reg.log_lam = min(
-                    reg.log_lam + float(adam_om.step(g_om, lr_om)), LOG_COEFF_CAP
-                )
+                reg.log_lam = _log_coeff_step(reg.log_lam, r_value, reg.alpha, adam_om, lr_om)
                 if pow2:
-                    g_gw = reg.gamma_w * t_w - reg.beta_w
-                    reg.log_gamma_w = min(
-                        reg.log_gamma_w + float(adam_gw.step(g_gw, lr_g)), LOG_COEFF_CAP
+                    reg.log_gamma_w = _log_coeff_step(
+                        reg.log_gamma_w, t_w, reg.beta_w, adam_gw, lr_g
                     )
                     row["pow2_w"] = t_w
                     row["gamma_w"] = reg.gamma_w
                     if t_a is not None:
-                        g_ga = reg.gamma_a * t_a - reg.beta_a
-                        reg.log_gamma_a = min(
-                            reg.log_gamma_a + float(adam_ga.step(g_ga, lr_g)),
-                            LOG_COEFF_CAP,
+                        reg.log_gamma_a = _log_coeff_step(
+                            reg.log_gamma_a, t_a, reg.beta_a, adam_ga, lr_g
                         )
                         row["pow2_a"] = t_a
                         row["gamma_a"] = reg.gamma_a

@@ -1,7 +1,9 @@
 """Integer-only inference: hand-traced examples, conversion rules, the
 float-simulation oracle, and the serialized model format."""
 
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -594,3 +596,26 @@ def test_load_rejects_non_finite_scales():
         bad[8:16] = np.float64(value).tobytes()  # input_scale
         with pytest.raises(fx.FormatError):
             fx.load_model(bytes(bad))
+
+
+def _imported_names(path):
+    """Every dotted part of every module a source file imports, and of every
+    name it imports from a module."""
+    parts = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        else:
+            continue
+        parts.update(part for name in names for part in name.split("."))
+    return parts
+
+
+@pytest.mark.parametrize("module", ["fixedpoint", "compression"])
+def test_inference_does_not_import_training_or_cli(module):
+    # inference sits below training, so the training forward can call the
+    # integer kernels without an import cycle
+    path = Path(fx.__file__).with_name(f"{module}.py")
+    assert not {"training", "cli"} & _imported_names(path)

@@ -112,7 +112,7 @@ def test_msqe_activations_direct():
     want = np.mean(
         [(x - oracles.nearest_level(x, levels)) ** 2 for x in a.ravel()]
     )
-    assert abs(rg.msqe_activations(a, delta, bits) - want) <= 1e-12 * max(1, want)
+    assert abs(rg.activation_terms(a, delta, bits, 1.0)[0] - want) <= 1e-12 * max(1, want)
 
 
 def test_scale_grad_activations_matches_fd():
@@ -126,7 +126,7 @@ def test_scale_grad_activations_matches_fd():
         a.extend(x[d > 1e-3 * delta].tolist())
     a = np.array(a[:200])
     code = qz.code_unsigned(a, delta, bits)
-    got = rg.scale_grad_activations(a, delta, bits, zeta)
+    got = rg.activation_terms(a, delta, bits, zeta)[1]
 
     def f(d):
         return zeta * float(np.mean((a - d * code) ** 2))
@@ -144,7 +144,7 @@ def test_grid_msqe_and_grad():
     rng = np.random.default_rng(7)
     vals = rng.normal(0, 3, 200)
     vals = vals[~qz.on_grid_midpoint(vals, step)][:100]
-    g = rg.grid_msqe_grad(vals, step)
+    g = rg.grid_terms(vals, qz.snap_to_grid(vals, step), step, 1.0, 1)[1]
     for i in range(0, 100, 7):
 
         def f(x):
@@ -155,7 +155,8 @@ def test_grid_msqe_and_grad():
         fd = oracles.central_diff(f, vals[i], 1e-6 * step)
         assert abs(g[i] - fd) <= 1e-4 * max(abs(fd), 1e-9)
     # midpoint gets no pull
-    assert rg.grid_msqe_grad(np.array([1.5 * step]), step)[0] == 0.0
+    mid = np.array([1.5 * step])
+    assert rg.grid_terms(mid, qz.snap_to_grid(mid, step), step, 1.0, 1)[1][0] == 0.0
 
 
 def test_pow2_penalty_brute_force_and_grad():
@@ -248,7 +249,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         rg.msqe_weights([np.ones(3)], [0.5, 0.5], 4)
     with pytest.raises(ValueError):
-        rg.msqe_activations(np.array([]), 0.5, 4)
+        rg.activation_terms(np.array([]), 0.5, 4, 1.0)
     with pytest.raises(ValueError):
         rg.prune_threshold([np.ones(3)], 1.0)
     with pytest.raises(ValueError):

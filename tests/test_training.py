@@ -72,6 +72,8 @@ def test_bias_grid_step():
     assert tr.bias_grid_step(plan, scales, 1) == 0.25 * 0.1
     # unquantized producer: biases ride the weight grid alone
     assert tr.bias_grid_step(plan, scales, 2) == 0.125
+    # the input step alone, as FixedPointModel.from_network reads it
+    assert [qf.fixedpoint.input_step(plan, scales, l) for l in range(3)] == [1 / 255, 0.1, 1.0]
 
 
 def test_config_validation_and_round_trip():
@@ -148,12 +150,9 @@ def test_lambda_gradient_direction():
     assert tr.grad_log_lambda(0.01, 0.5, 1.0) < 0
     assert tr.grad_log_lambda(0.01, 0.5, 1000.0) > 0
     assert tr.grad_log_lambda(0.25, 0.5, 2.0) == 0.0
-    assert tr.grad_lambda(0.25, 0.5, 2.0) == 0.0
-    with pytest.raises(ValueError):
-        tr.grad_lambda(0.1, 0.5, 0.0)
-    # omega-form matches the chain rule lam * dC/dlam
+    # omega-form matches the chain rule lam * dC/dlam, dC/dlam = R - alpha/lam
     lam = 3.7
-    assert abs(tr.grad_log_lambda(0.2, 0.5, lam) - lam * tr.grad_lambda(0.2, 0.5, lam)) < 1e-12
+    assert abs(tr.grad_log_lambda(0.2, 0.5, lam) - lam * (0.2 - 0.5 / lam)) < 1e-12
 
 
 def test_init_scales_percentile_rule():
@@ -352,14 +351,19 @@ def test_prune_then_qat_composition():
 
 
 def test_cost_functions():
-    # R and its count N come from _model_msqe; RegState.cost is the one
-    # assembly of C = E + lam*R - alpha*log(lam) + zeta*S (+ gamma*T - beta*log(gamma))
+    # R, the pooled weight+bias MSQE over N = |W| + |b|, comes from
+    # _convergence_stats; RegState.cost is the one assembly of
+    # C = E + lam*R - alpha*log(lam) + zeta*S (+ gamma*T - beta*log(gamma))
     net = _toy_net(np.random.default_rng(14))
     plan = [tr.LayerBits(4, None)]
     scales = tr.ScaleState(np.array([0.1]), np.array([1.0]), 1 / 255)
     reg = tr.RegState(alpha=0.5, zeta=1.0, log_lam=0.3)
-    r, n = tr._model_msqe(net, plan, scales)
-    assert n == net.param_layers[0].W.size + net.param_layers[0].b.size
+    layer = net.param_layers[0]
+    err_w = layer.W - qz.quantize_signed(layer.W, 0.1, 4)
+    err_b = layer.b - qz.snap_to_grid(layer.b, tr.bias_grid_step(plan, scales, 0))
+    want = (float(np.sum(err_w * err_w)) + float(np.sum(err_b * err_b))) / (layer.W.size + layer.b.size)
+    r = tr._convergence_stats(net, plan, scales)["weight_msqe"]
+    assert r == want
     assert r > 0
     task = 1.25
     cost = reg.cost(task, r, 0.0)
@@ -445,5 +449,4 @@ def test_snap_to_levels_is_exact():
     tr.snap_to_levels(net, scales, plan)
     w = net.param_layers[0].W
     assert np.array_equal(qz.quantize_signed(w, 0.2, 3), w)
-    r, _ = tr._model_msqe(net, plan, scales)
-    assert r == 0.0
+    assert tr._convergence_stats(net, plan, scales)["weight_msqe"] == 0.0
