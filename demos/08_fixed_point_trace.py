@@ -41,18 +41,16 @@ def main():
     # replay the engine's own steps to expose the intermediate integers; the
     # engine keeps maps NHWC, and pools before it requantizes, which gives
     # the same codes because the rescale is monotone
-    x, bits = x.transpose(0, 2, 3, 1), model.input_bits
+    x = x.transpose(0, 2, 3, 1)
+    kernels = iter(fx._kernels(model, model.input_bits))
     for i, layer in enumerate(model.layers):
         if layer.kind in ("conv", "fc"):
-            dtype = fx._acc_dtype(fx.accumulator_bound(layer, bits))
-            if layer.kind == "conv":
-                acc = fx._conv_int(x, layer, dtype)
-            else:
-                acc = fx._gemm(x, layer.codes, layer.bias_codes, dtype)
-            head = (f"  {i}: {layer.kind:4} {np.dtype(dtype).name:7} acc "
+            kernel = next(kernels)
+            acc = fx._mac(x, layer, kernel)
+            head = (f"  {i}: {layer.kind:4} {np.dtype(kernel[0]).name:7} acc "
                     f"{acc.min():>9.0f}..{acc.max():<9.0f}")
             if layer.act_bits:
-                x, bits = fx._requant_mult(acc, layer), layer.act_bits
+                x = fx._requant_mult(acc, layer)
                 print(f"{head} -> requant codes {x.min():.0f}..{x.max():.0f}")
             else:
                 print(f"{head} (final, scale {layer.logit_scale:.2e})")

@@ -211,14 +211,17 @@ def _read_varint(buf, pos):
 # --- archive ----------------------------------------------------------------
 
 
-def _layer_stream(codes):
+def _layer_stream(codes, nz):
     """The payload tokens of one layer, as arrays over its nonzero codes in
     row-major order: flat position, count of GAP_CONT tokens before the
-    gap's final token, that final token (0..254), and the code."""
-    flat = codes.ravel()
-    idx = np.flatnonzero(flat)
+    gap's final token, that final token (0..254), and the code. nz holds,
+    in increasing order, every flat position whose code can be nonzero;
+    only those codes are read."""
+    codes = codes.ravel()[nz]
+    keep = codes != 0
+    idx = nz[keep]
     nfull, rest = np.divmod(np.diff(idx, prepend=-1) - 1, GAP_CONT)
-    return idx, nfull, rest, flat[idx]
+    return idx, nfull, rest, codes[keep]
 
 
 def _histogram(values):
@@ -232,14 +235,21 @@ def encode_model(net, masks, scales, plan):
     code 0, and decode recovers them as zeros."""
     model = FixedPointModel.from_network(net, scales, plan)
     layers = model.param_layers
+    streams = []
     for l, (src, q) in enumerate(zip(net.param_layers, layers)):
-        err = np.abs(src.W - q.weights())
+        # from 2 bits up a zero weight has code 0 and sits on its level, so
+        # one index of the nonzero weights serves the level check and the
+        # stream; a 1-bit layer has no zero code and is read whole
+        w = src.W.ravel()
+        nz = np.flatnonzero(w != 0) if q.weight_bits > 1 else np.arange(w.size)
+        err = np.abs(w[nz] - q.codes.ravel()[nz] * q.weight_scale)
         if err.size and err.max() > 1e-9 * q.weight_scale:
             raise ValueError(
                 f"layer {l}: weights are not at quantization levels "
                 f"(max residual {err.max():.3e}); run the training ramp to "
                 "termination first"
             )
+        streams.append(_layer_stream(q.codes, nz))
         berr = np.abs(src.b - q.biases())
         if berr.size and berr.max() > 1e-9 * q.bias_step:
             raise ValueError(f"layer {l}: biases are not on the bias grid")
@@ -256,7 +266,6 @@ def encode_model(net, masks, scales, plan):
     if len({q.act_bits for q in layers if q.act_bits}) > 1:
         raise ValueError("all quantized outputs must share one bit-width")
 
-    streams = [_layer_stream(q.codes) for q in layers]
     if masks is not None:
         for l, (q, (idx, *_)) in enumerate(zip(layers, streams)):
             mask = np.asarray(masks[l])

@@ -26,13 +26,19 @@ re-checks the realized accumulators. The multiply-accumulate is exact
 integer arithmetic, carried out in any arithmetic the bound proves exact:
 every partial sum is an integer no larger than the bound, so a float32 GEMM
 is exact below 2^24 and a float64 GEMM below 2^53, and both run on BLAS.
-int64 is left for wider hand-built layers.
+int64 is left for wider hand-built layers. Each call casts and permutes the
+weights once, then runs the images in tiles of 64, whose columns and
+accumulators stay cache-sized.
 
 The bit plan (LayerBits), the scales (ScaleState), the input-step and
 bias-grid rule and the quantizer tap (QuantTap) also live here, below
 training: the training forward runs through QuantTap, and so does
 simulate_float, the equivalence oracle for infer, which runs the same model
-in real arithmetic as to_network() through that tap.
+in real arithmetic as to_network() through that tap. The same bound decides
+its arithmetic: when every scale is a power of two that float32 holds and
+every layer's bound is below 2^24, each of its values is an integer below
+2^24 times a power of two, so it runs in float32 and is exact; any other
+model runs in float64.
 """
 
 from __future__ import annotations
@@ -279,8 +285,7 @@ class FixedPointModel:
                 layer.in_scale = input_step(plan, scales, pidx)
                 if p.acts is not None:
                     layer.act_scale = _scale(pidx, "act_scale", float(scales.act_scales[pidx]))
-                code = qz.code_signed(params[pidx].W, layer.weight_scale, p.weights)
-                layer.codes = code.astype(np.int64)
+                layer.codes = _weight_codes(params[pidx].W, layer.weight_scale, p.weights)
                 bias = params[pidx].b / _scale(pidx, "bias_step", layer.bias_step)
                 if not (np.abs(bias) <= INT32_MAX).all():  # nan fails too
                     raise ValueError(f"layer {pidx}: bias codes exceed 32-bit range")
@@ -302,11 +307,22 @@ class FixedPointModel:
         return net
 
 
+def _weight_codes(w, delta, bits):
+    """code_signed(w) as int64. From 2 bits up code_signed(0) is 0, so only
+    the nonzero weights are coded; the 1-bit code of 0 is +1."""
+    if bits == 1:
+        return qz.code_signed(w, delta, bits).astype(np.int64)
+    codes = np.zeros(w.shape, dtype=np.int64)
+    flat, nz = codes.reshape(-1), np.flatnonzero(w != 0)
+    flat[nz] = qz.code_signed(w.reshape(-1)[nz], delta, bits)
+    return codes
+
+
 def encode_input(images, model: FixedPointModel):
     """uint8 images are already the input codes: pixel value = code, real
     value = code * input_scale."""
     codes = np.asarray(images)
-    if codes.min() < 0 or codes.max() > 2**model.input_bits - 1:
+    if codes.size and (codes.min() < 0 or codes.max() > 2**model.input_bits - 1):
         raise ValueError("input codes outside the declared input bit-width")
     if codes.ndim == 3:
         codes = codes.reshape(codes.shape[0], 1, codes.shape[1], codes.shape[2])
@@ -396,22 +412,34 @@ def _acc_dtype(bound):
     return np.float32 if bound < 2**24 else np.float64 if bound < 2**53 else np.int64
 
 
-def _gemm(x, w, bias, dtype):
-    """x @ w.T + bias, all in dtype: the one multiply-accumulate of the
-    engine (BLAS for the float types, numpy's loop for int64)."""
-    acc = x.astype(dtype, copy=False) @ w.reshape(len(bias), -1).T.astype(dtype)
-    acc += bias.astype(dtype)
-    return acc
+def _kernels(model: FixedPointModel, in_bits):
+    """Per parameter layer, once per call: the dtype its accumulator_bound
+    proves exact (in_bits is the input's width, then each layer's act_bits),
+    its codes as an (inputs, outputs) matrix in that dtype, and its bias
+    codes in that dtype. Conv codes are permuted to the (kh, kw, c) order of
+    im2col's columns; an exact sum does not depend on the order."""
+    out = []
+    for fx in model.param_layers:
+        dtype = _acc_dtype(accumulator_bound(fx, in_bits))
+        w = fx.codes.transpose(0, 2, 3, 1) if fx.kind == "conv" else fx.codes
+        w = w.reshape(len(fx.bias_codes), -1).T.astype(dtype)
+        out.append((dtype, w, fx.bias_codes.astype(dtype)))
+        in_bits = fx.act_bits
+    return out
 
 
-def _conv_int(x, fx: FxLayer, dtype):
-    """Accumulator of a conv layer on an NHWC map, as an NHWC map. Columns
-    run over (kh, kw, c), the weights are permuted to match, and an exact
-    sum does not depend on the order."""
-    cols, ho, wo = im2col(x.astype(dtype, copy=False), fx.ksize, fx.stride, fx.pad)
-    w = fx.codes.transpose(0, 2, 3, 1)
-    acc = _gemm(cols, w, fx.bias_codes, dtype)
-    return acc.reshape(x.shape[0], ho, wo, -1)
+def _mac(x, fx: FxLayer, kernel):
+    """The one multiply-accumulate of the engine: x @ w + bias in the dtype
+    of the layer's _kernels entry (BLAS for the float types, numpy's loop
+    for int64), on rows for fc, and on im2col's columns of an NHWC map for
+    conv, whose accumulator comes back as an NHWC map."""
+    dtype, w, bias = kernel
+    rows = x.astype(dtype, copy=False)
+    if fx.kind == "conv":
+        rows, ho, wo = im2col(rows, fx.ksize, fx.stride, fx.pad)
+    acc = rows @ w
+    acc += bias
+    return acc.reshape(x.shape[0], ho, wo, -1) if fx.kind == "conv" else acc
 
 
 def _flatten_int(x):
@@ -442,28 +470,24 @@ def _requant_shift(acc, fx: FxLayer):
     return np.minimum(v, 2**fx.act_bits - 1, out=v)
 
 
-def _run_int(model: FixedPointModel, codes, in_bits, shift, debug):
-    """One batch, NHWC inside, each layer in the dtype its accumulator_bound
-    proves exact. A requantization waits past the max-pools after it: the
+def _run_int(model: FixedPointModel, kernels, codes, shift, debug):
+    """One batch, NHWC inside, each parameter layer a _mac on its _kernels
+    entry. A requantization waits past the max-pools after it: the
     rescale is monotone, so the codes are the same, and fewer values are
     rescaled. shift, the only difference of infer_shift, picks the rescale."""
     x = codes.transpose(0, 2, 3, 1) if codes.ndim == 4 else codes
-    bits, pending, logits = in_bits, None, None
+    pending, logits, params = None, None, iter(kernels)
     for i, fx in enumerate(model.layers):
         if fx.kind == "maxpool":
             x = max_pool(x, fx.size)
             continue
         if pending is not None:
             x = (_requant_shift if shift else _requant_mult)(x, pending)
-            bits, pending = pending.act_bits, None
+            pending = None
         if fx.kind in ("conv", "fc"):
             if logits is not None:
                 raise ValueError(f"layer {i} follows the final, unrequantized layer")
-            dtype = _acc_dtype(accumulator_bound(fx, bits))
-            if fx.kind == "conv":
-                acc = _conv_int(x, fx, dtype)
-            else:
-                acc = _gemm(x, fx.codes, fx.bias_codes, dtype)
+            acc = _mac(x, fx, next(params))
             if debug and acc.size and np.abs(acc).max() > INT32_MAX:
                 raise OverflowError(
                     f"accumulator {np.abs(acc).max()} exceeds the declared "
@@ -483,23 +507,28 @@ def _run_int(model: FixedPointModel, codes, in_bits, shift, debug):
     return logits.transpose(0, 3, 1, 2) if logits.ndim == 4 else logits
 
 
+def _tiles(run, x, batch, model: FixedPointModel):
+    """run on each batch-image tile of x, the logits concatenated as
+    float64; (0, classes) when x holds no image."""
+    if not len(x):
+        return np.zeros((0, model.param_layers[-1].weight_shape[0]))
+    outs = [run(x[s : s + batch]) for s in range(0, len(x), batch)]
+    return np.concatenate(outs, axis=0).astype(np.float64, copy=False)
+
+
 def _infer(model: FixedPointModel, inp, batch, debug, shift):
     if not isinstance(inp, IntTensor):
         inp = encode_input(inp, model)
-    codes = inp.codes
-    outs = [
-        _run_int(model, codes[s : s + batch], inp.bits, shift, debug)
-        for s in range(0, codes.shape[0], batch)
-    ]
-    return np.concatenate(outs, axis=0)
+    kernels = _kernels(model, inp.bits)
+    return _tiles(lambda c: _run_int(model, kernels, c, shift, debug), inp.codes, batch, model)
 
 
-def infer(model: FixedPointModel, inp, batch=512, debug=False):
+def infer(model: FixedPointModel, inp, batch=64, debug=False):
     """Integer-only forward; returns real logits (n, classes)."""
     return _infer(model, inp, batch, debug, shift=False)
 
 
-def infer_shift(model: FixedPointModel, inp, batch=512, debug=False):
+def infer_shift(model: FixedPointModel, inp, batch=64, debug=False):
     """infer with every rescale done as an arithmetic shift (round half away
     from zero before truncation). Only valid when conversion found every
     multiplier to be a power of two."""
@@ -511,17 +540,54 @@ def infer_shift(model: FixedPointModel, inp, batch=512, debug=False):
     return _infer(model, inp, batch, debug, shift=True)
 
 
-def simulate_float(model: FixedPointModel, images, batch=512):
+def _f32_step(s):
+    """True when s is a power of two and float32 holds s and 2^24 * s as
+    normal numbers."""
+    return bool(qz.is_pow2(s)) and 2.0**-126 <= s <= 2.0**103
+
+
+def _oracle_dtype(model: FixedPointModel, images):
+    """float32 when it computes simulate_float exactly, else float64. It
+    does when the images are input codes of the model's width, each layer
+    reads the codes of the one before with an accumulator_bound below 2^24
+    (the in_bits walk of freeze), and every step (input_scale, each
+    weight_scale, bias_step and requantized act_scale) passes _f32_step.
+    Every weight, bias, input and junction value is then an integer below
+    2^24 times a step, and every partial sum an integer multiple of
+    bias_step at most bound * bias_step, so each float32 product and sum is
+    exact."""
+    codes = np.asarray(images)
+    if codes.dtype.kind not in "ui" or codes.size and (
+        codes.min() < 0 or codes.max() > 2**model.input_bits - 1
+    ):
+        return np.float64
+    in_bits, in_scale, steps = model.input_bits, model.input_scale, [model.input_scale]
+    for fx in model.param_layers:
+        exact = in_bits and fx.in_scale == in_scale
+        if not exact or _acc_dtype(accumulator_bound(fx, in_bits)) is not np.float32:
+            return np.float64
+        in_bits, in_scale = fx.act_bits, fx.act_scale
+        steps += [fx.weight_scale, fx.bias_step] + ([fx.act_scale] if fx.act_bits else [])
+    return np.float32 if all(_f32_step(s) for s in steps) else np.float64
+
+
+def simulate_float(model: FixedPointModel, images, batch=64):
     """The same network in real arithmetic with quantizers applied: the
     training-time quantized forward, to_network() through a QuantTap, and
     the oracle infer must agree with. to_network() already holds the grid
     values of the weights and biases, so the tap only requantizes each
     junction, where the next layer reads it, after any max-pool; the
-    quantizer is monotone, so pooling first gives the same values. The
-    logits differ from infer's only by the rounding of the float sums:
-    round(logits / logit_scale) gives infer's accumulators, also for scales
-    that are not powers of two, so the argmax can differ from infer's only
-    where infer's logits tie exactly."""
+    quantizer is monotone, so pooling first gives the same values.
+
+    It runs in float32 where _oracle_dtype proves that exact: power-of-two
+    steps and every accumulator_bound below 2^24, as in a pow2 4/4 LeNet.
+    Every sum is then exact, and the float64 logits equal infer's. Any other
+    model runs in float64, and its logits differ from infer's only by the
+    rounding of the float sums: round(logits / logit_scale) gives infer's
+    accumulators, also for scales that are not powers of two, so the argmax
+    can differ from infer's only where infer's logits tie exactly. Tiles of
+    batch images bound the columns the conv layers keep; the float64 sums
+    can round differently for another tile size."""
     params = model.param_layers
     tap = QuantTap(
         [LayerBits(None, l.act_bits or None) for l in params],
@@ -531,16 +597,18 @@ def simulate_float(model: FixedPointModel, images, batch=512):
             model.input_scale,
         ),
     )
+    dtype = _oracle_dtype(model, images)
     net = model.to_network()
-    x = np.asarray(images, dtype=np.float64)
+    for layer in net.param_layers:
+        layer.W, layer.b = layer.W.astype(dtype, copy=False), layer.b.astype(dtype, copy=False)
+    x = np.asarray(images, dtype=dtype)
     if x.ndim == 3:
         x = x.reshape(x.shape[0], 1, x.shape[1], x.shape[2])
-    x = x * model.input_scale
-    outs = [net.forward(x[s : s + batch], tap) for s in range(0, x.shape[0], batch)]
-    return np.concatenate(outs, axis=0)
+    x = x * dtype(model.input_scale)
+    return _tiles(lambda t: net.forward(t, tap), x, batch, model)
 
 
-def predict(model: FixedPointModel, inp, batch=512, shift=False):
+def predict(model: FixedPointModel, inp, batch=64, shift=False):
     run = infer_shift if shift else infer
     return np.argmax(run(model, inp, batch=batch), axis=1)
 

@@ -6,7 +6,10 @@ parameters and inter-layer activations through a tap (see fixedpoint.QuantTap):
 the tap may substitute quantized copies for the forward pass while the float
 masters keep receiving updates, and it owns the straight-through backward
 rule at the activation junctions. Linear weights are (out, in), conv
-weights (out, in, kh, kw), everything is float64.
+weights (out, in, kh, kw). Training keeps everything float64; Conv2d and
+Linear compute in the dtype of the weights they are given, casting their
+input to it, which lets fixedpoint.simulate_float run a network whose
+weights it cast to float32.
 
 Feature maps have NCHW shape and channels-last memory. Conv2d and MaxPool2d
 read their input through the NHWC view x.transpose(0, 2, 3, 1), which costs
@@ -16,7 +19,8 @@ and keep the memory order of their input. Flatten yields rows in (c, h, w)
 order, the order of the fc weights.
 
 Convolution is im2col with (kh, kw, c) columns plus a BLAS matmul against
-the weights permuted to (out, kh, kw, in); the input gradient is one GEMM
+the weights permuted to (out, kh, kw, in); one-channel maps, like a first
+layer's, get their columns from k*k slab copies. The input gradient is one GEMM
 against the same permuted kernel and k*k strided slab adds, which is exact
 for the integer-divisible geometries forward enforces. Max-pooling is
 a running maximum of strided views. fixedpoint's integer engine runs the same
@@ -37,12 +41,21 @@ def _he_normal(rng, shape, fan_in):
 def im2col(x, k, stride, pad=0):
     """Columns of the k x k windows of an NHWC map x (any strides), after
     zero-padding by pad: one row per output pixel in (n, ho, wo) order, and
-    (kh, kw, c) order along a row. Returns (cols, ho, wo)."""
+    (kh, kw, c) order along a row. Returns (cols, ho, wo). A one-channel map
+    gets k*k slab copies into a (k*k, rows) buffer and its transposed view:
+    the generic copy's inner run would be one channel, k elements long."""
     if pad:
         x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     n, h, w, c = x.shape
     ho = (h - k) // stride + 1
     wo = (w - k) // stride + 1
+    if c == 1:
+        cols = np.empty((k * k, n, ho, wo), dtype=x.dtype)
+        hs, ws = (ho - 1) * stride + 1, (wo - 1) * stride + 1
+        for i in range(k):
+            for j in range(k):
+                cols[i * k + j] = x[:, i : i + hs : stride, j : j + ws : stride, 0]
+        return cols.reshape(k * k, -1).T, ho, wo
     s0, s1, s2, s3 = x.strides
     windows = np.lib.stride_tricks.as_strided(
         x,
@@ -87,6 +100,7 @@ class Conv2d:
             raise ValueError(
                 f"conv input {hp}x{wp} not divisible by kernel {k} stride {s}"
             )
+        x = x.astype(w.dtype, copy=False)
         cols, ho, wo = im2col(x.transpose(0, 2, 3, 1), k, s, p)
         self._cols = cols
         self._wk = w.transpose(0, 2, 3, 1).reshape(self.out_ch, -1)
@@ -131,6 +145,7 @@ class Linear:
         self.gb = None
 
     def forward(self, x, w, b):
+        x = x.astype(w.dtype, copy=False)
         self._x = x
         self._w_run = w
         return x @ w.T + b

@@ -286,3 +286,17 @@ def test_feature_maps_stay_channels_last():
     for m in maps:
         assert m.shape[1] in (3, 4)
         assert m.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 2])
+def test_one_channel_im2col_equals_the_strided_windows(stride, pad):
+    # read through the NHWC view of an NCHW map, as Conv2d reads it
+    x = np.random.default_rng(4).normal(size=(3, 1, 9, 8)).transpose(0, 2, 3, 1)
+    k = 3
+    cols, ho, wo = nn.im2col(x, k, stride, pad)
+    padded = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride]  # (n, ho, wo, c, kh, kw)
+    assert (ho, wo) == windows.shape[1:3]
+    assert np.array_equal(cols, windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k))

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from qatforge import compression as cz
+from qatforge import fixedpoint as fx
 from qatforge import quantizers as qz
 from qatforge.models import net_from_spec
 from qatforge.training import LayerBits, ScaleState, bias_grid_step
@@ -117,7 +118,7 @@ def test_gap_tokens():
     gaps = [0, 254, 255, 300, 510]
     flat = np.zeros(sum(gaps) + len(gaps), dtype=np.int64)
     flat[np.cumsum(np.add(gaps, 1)) - 1] = [1, -2, 3, -4, 5]
-    idx, nfull, rest, syms = cz._layer_stream(flat.reshape(1, -1))
+    idx, nfull, rest, syms = cz._layer_stream(flat.reshape(1, -1), np.arange(flat.size))
     tokens = [[cz.GAP_CONT] * n + [r] for n, r in zip(nfull.tolist(), rest.tolist())]
     assert tokens == [[0], [254], [255, 0], [255, 45], [255, 255, 0]]
     assert syms.tolist() == [1, -2, 3, -4, 5]
@@ -441,3 +442,52 @@ def test_encode_requires_uniform_bit_width():
     net.param_layers[1].W = 0.25 * np.clip(codes[1], -4, 3).astype(np.float64)
     with pytest.raises(ValueError, match="bit-width"):
         cz.encode_model(net, None, scales, plan)
+
+
+def test_a_weight_that_codes_to_zero_encodes_as_an_exact_zero():
+    rng = np.random.default_rng(10)
+    codes = [_random_codes(rng, (20, 30), 4, 0.9)]
+    net, scales, plan = _model_from_codes(codes, 0.25, 4)
+    masks = [l.W != 0 for l in net.param_layers]
+    want, _ = cz.encode_model(net, masks, scales, plan)
+    zero = np.argwhere(codes[0] == 0)[3]
+    net.param_layers[0].W[tuple(zero)] = 1e-15  # nonzero, code 0, on its level
+    assert cz.encode_model(net, masks, scales, plan)[0] == want
+
+
+def test_level_and_mask_checks_read_every_weight_that_can_be_off():
+    rng = np.random.default_rng(11)
+    # a binary layer has no zero level: an exact 0 is off the grid
+    codes = [_random_codes(rng, (6, 7), 1, 0.0)]
+    net, scales, plan = _model_from_codes(codes, 0.3, 1)
+    net.param_layers[0].W[2, 3] = 0.0
+    with pytest.raises(ValueError, match="not at quantization levels"):
+        cz.encode_model(net, None, scales, plan)
+    # in a sparse layer, a nonzero weight 0.3 delta from the zero level
+    codes = [_random_codes(rng, (20, 30), 4, 0.9)]
+    net, scales, plan = _model_from_codes(codes, 0.25, 4)
+    zero = tuple(np.argwhere(codes[0] == 0)[5])
+    net.param_layers[0].W[zero] = 0.3 * 0.25
+    with pytest.raises(ValueError, match="not at quantization levels"):
+        cz.encode_model(net, None, scales, plan)
+    # and a mask that prunes one of the few nonzero codes
+    net.param_layers[0].W[zero] = 0.0
+    masks = [codes[0] != 0]
+    masks[0][tuple(np.argwhere(codes[0] != 0)[-1])] = False
+    with pytest.raises(ValueError, match="mask marks positions as pruned"):
+        cz.encode_model(net, masks, scales, plan)
+
+
+def test_freeze_refuses_an_archive_over_the_accumulator_bound():
+    # layer 1 reads 16-bit codes: 300 * 2^7 * (2^16 - 1) exceeds 2^31 - 1;
+    # the encoder stores it, and freeze refuses it as convert does
+    rng = np.random.default_rng(12)
+    codes = [_random_codes(rng, (300, 4), 8, 0.5), _random_codes(rng, (2, 300), 8, 0.9)]
+    net, scales, plan = _model_from_codes(codes, 0.25, 8)
+    plan = [LayerBits(8, 16), LayerBits(8, None)]
+    archive, _ = cz.encode_model(net, None, scales, plan)
+    with pytest.raises(ValueError, match="layer 1: worst-case accumulator") as by_convert:
+        fx.convert(net, scales, plan)
+    with pytest.raises(ValueError) as by_freeze:
+        fx.freeze(cz.decode_model(archive))
+    assert str(by_freeze.value) == str(by_convert.value)

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import oracles
+import test_golden as golden
 from qatforge import fixedpoint as fx
 from qatforge import quantizers as qz
-from qatforge.models import net_from_spec
-from qatforge.training import LayerBits, ScaleState
+from qatforge.models import build_lenet, net_from_spec
+from qatforge.training import LayerBits, ScaleState, bias_grid_step
 
 
 def _fc_layer(codes, bias, wbits, abits, d, din, dout):
@@ -619,3 +620,77 @@ def test_inference_does_not_import_training_or_cli(module):
     # integer kernels without an import cycle
     path = Path(fx.__file__).with_name(f"{module}.py")
     assert not {"training", "cli"} & _imported_names(path)
+
+
+def _pow2_lenet(rng):
+    """A converted 4/4 LeNet with random codes and power-of-two scales, whose
+    bounds (conv1 25 * 8 * 255, fc1 800 * 8 * 15) are all below 2^24."""
+    plan = [LayerBits(4, 4)] * 3 + [LayerBits(4, None)]
+    scales = ScaleState(
+        np.array([2.0**-4, 2.0**-5, 2.0**-6, 2.0**-4]), np.array([0.5, 1.0, 0.5, 1.0]), 1 / 256
+    )
+    net = build_lenet()
+    for l, layer in enumerate(net.param_layers):
+        layer.W = scales.weight_scales[l] * rng.integers(-8, 8, layer.W.shape).astype(np.float64)
+        step = bias_grid_step(plan, scales, l)
+        layer.b = step * rng.integers(-40, 41, layer.b.shape).astype(np.float64)
+    return fx.convert(net, scales, plan)
+
+
+def _golden_pow2_model():
+    return fx.convert(
+        golden._on_grid_net(2, golden.POW2, golden.PLAN_4_4), golden.POW2, golden.PLAN_4_4
+    )
+
+
+@pytest.mark.parametrize("which", ["golden", "lenet"])
+def test_float32_oracle_gives_the_bytes_of_the_float64_one(which, monkeypatch):
+    # 70 LeNet images make two 64-image tiles
+    rng = np.random.default_rng(8)
+    if which == "golden":
+        model, images = _golden_pow2_model(), golden._images()
+    else:
+        model, images = _pow2_lenet(rng), rng.integers(0, 256, (70, 28, 28)).astype(np.uint8)
+    assert fx._oracle_dtype(model, images) is np.float32
+    fast = fx.simulate_float(model, images)
+    assert fast.dtype == np.float64
+    assert np.unique(np.argmax(fast, 1)).size >= 4
+    # to_network() in float64 through the same tap
+    monkeypatch.setattr(fx, "_oracle_dtype", lambda model, images: np.float64)
+    assert fx.simulate_float(model, images).tobytes() == fast.tobytes()
+    assert fx.infer(model, images).tobytes() == fast.tobytes()
+
+
+def test_oracle_runs_float64_unless_float32_is_proven_exact():
+    model, images = _golden_pow2_model(), golden._images()
+    assert fx._oracle_dtype(model, images) is np.float32
+    # images that are not input codes
+    assert fx._oracle_dtype(model, images.astype(np.float64)) is np.float64
+    assert fx._oracle_dtype(model, images.astype(np.int32) + 256) is np.float64
+    # one scale that is not a power of two
+    odd = _golden_pow2_model()
+    odd.param_layers[2].weight_scale = 0.3
+    assert fx._oracle_dtype(odd, images) is np.float64
+    # a power of two too small for float32's normal range
+    tiny = _golden_pow2_model()
+    tiny.input_scale = tiny.param_layers[0].in_scale = 2.0**-140
+    assert fx._oracle_dtype(tiny, images) is np.float64
+    # the final layer's bound, 8 * 8 * 15 plus its largest bias, reaches 2^24
+    last = model.param_layers[-1]
+    for bound, dtype in [(2**24 - 1, np.float32), (2**24, np.float64)]:
+        last.bias_codes = last.bias_codes.copy()
+        last.bias_codes[0] = bound - 8 * 8 * 15
+        assert fx.accumulator_bound(last, 4) == bound
+        assert fx._oracle_dtype(model, images) is dtype
+        # exact either way, so the oracle still gives infer's bytes
+        assert fx.simulate_float(model, images).tobytes() == fx.infer(model, images).tobytes()
+
+
+def test_zero_images_give_empty_logits():
+    model = _golden_pow2_model()
+    images = np.zeros((0, 12, 12), dtype=np.uint8)
+    for run in (fx.infer, fx.infer_shift, fx.simulate_float):
+        logits = run(model, images)
+        assert logits.shape == (0, 5) and logits.dtype == np.float64
+    preds = fx.predict(model, images)
+    assert preds.shape == (0,) and preds.dtype.kind == "i"
