@@ -540,19 +540,14 @@ def infer_shift(model: FixedPointModel, inp, batch=64, debug=False):
     return _infer(model, inp, batch, debug, shift=True)
 
 
-def _f32_step(s):
-    """True when s is a power of two and float32 holds s and 2^24 * s as
-    normal numbers."""
-    return bool(qz.is_pow2(s)) and 2.0**-126 <= s <= 2.0**103
-
-
 def _oracle_dtype(model: FixedPointModel, images):
     """float32 when it computes simulate_float exactly, else float64. It
     does when the images are input codes of the model's width, each layer
     reads the codes of the one before with an accumulator_bound below 2^24
     (the in_bits walk of freeze), and every step (input_scale, each
-    weight_scale, bias_step and requantized act_scale) passes _f32_step.
-    Every weight, bias, input and junction value is then an integer below
+    weight_scale, bias_step and requantized act_scale) is a power of two s
+    with s and 2^24 * s in float32's normal range, 2^-126 .. 2^127. Every
+    weight, bias, input and junction value is then an integer below
     2^24 times a step, and every partial sum an integer multiple of
     bias_step at most bound * bias_step, so each float32 product and sum is
     exact."""
@@ -568,7 +563,8 @@ def _oracle_dtype(model: FixedPointModel, images):
             return np.float64
         in_bits, in_scale = fx.act_bits, fx.act_scale
         steps += [fx.weight_scale, fx.bias_step] + ([fx.act_scale] if fx.act_bits else [])
-    return np.float32 if all(_f32_step(s) for s in steps) else np.float64
+    exact = all(qz.is_pow2(s) and 2.0**-126 <= s <= 2.0**103 for s in steps)
+    return np.float32 if exact else np.float64
 
 
 def simulate_float(model: FixedPointModel, images, batch=64):

@@ -20,9 +20,9 @@ order, the order of the fc weights.
 
 Convolution is im2col with (kh, kw, c) columns plus a BLAS matmul against
 the weights permuted to (out, kh, kw, in); one-channel maps, like a first
-layer's, get their columns from k*k slab copies. The input gradient is one GEMM
-against the same permuted kernel and k*k strided slab adds, which is exact
-for the integer-divisible geometries forward enforces. Max-pooling is
+layer's, get their columns from k*k slab copies. The input gradient is one
+GEMM against the same permuted kernel and k*k strided slab adds, which is
+exact for the integer-divisible geometries forward enforces. Max-pooling is
 a running maximum of strided views. fixedpoint's integer engine runs the same
 im2col and max_pool on its NHWC codes.
 """
