@@ -34,7 +34,7 @@ def main():
 
     image = data.test_images[args.index:args.index + 1]
     print(f"image {args.index} (label {data.test_labels[args.index]})")
-    x = fx.encode_input(image, model).codes
+    x = fx.encode_input(image, model)
     print(f"input codes {x.min()}..{x.max()} "
           f"(scale {model.input_scale:.6f})")
 
@@ -42,7 +42,7 @@ def main():
     # engine keeps maps NHWC, and pools before it requantizes, which gives
     # the same codes because the rescale is monotone
     x = x.transpose(0, 2, 3, 1)
-    kernels = iter(fx._kernels(model, model.input_bits))
+    kernels = iter(fx._kernels(model))
     for i, layer in enumerate(model.layers):
         if layer.kind in ("conv", "fc"):
             kernel = next(kernels)
@@ -66,11 +66,8 @@ def main():
     print(f"\npredicted {pred}, float simulation says {int(np.argmax(ref))}")
 
     preds = fx.predict(model, data.test_images)
+    sim = np.argmax(qf.simulate_float(model, data.test_images), axis=1)
     n = len(data.test_images)
-    sim = np.concatenate([
-        np.argmax(qf.simulate_float(model, data.test_images[i:i + 1000]), axis=1)
-        for i in range(0, n, 1000)
-    ])
     labels = data.test_labels.astype(np.int64)
     print(f"test set: integer engine {np.mean(preds == labels):.4f}, "
           f"agrees with float simulation on {int(np.sum(preds == sim))}/{n}")

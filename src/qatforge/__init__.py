@@ -62,7 +62,6 @@ from .training import (
 from .fixedpoint import (
     FixedPointModel,
     FxLayer,
-    IntTensor,
     LayerBits,
     QuantTap,
     ScaleState,

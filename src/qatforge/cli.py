@@ -4,7 +4,7 @@ Subcommands mirror the pipeline stages: train (float baseline), quantize
 (QAT, from scratch or fine-tuning a checkpoint), prune (magnitude pruning,
 produces a masked checkpoint), compress (entropy-coded archive + report),
 convert (integer model file), eval (accuracy of any artifact), infer
-(fixed-point prediction on single test images).
+(fixed-point prediction of one test image beside its float simulation).
 
 Every training run leaves a self-describing output directory: the exact
 config used, a manifest with content hashes of the input files, per-iteration
@@ -317,11 +317,6 @@ def cmd_infer(args):
     data = load_mnist(root)
     model = fx.load_model(args.fxpm)
     labels = data.test_labels.astype(np.int64)
-    if args.all:
-        preds = fx.predict(model, data.test_images, shift=args.shift)
-        acc = float(np.mean(preds == labels))
-        print(f"accuracy {acc:.4f} on {labels.size} images")
-        return 0
     if not 0 <= args.index < labels.size:
         raise ValueError(f"--index {args.index} is outside [0, {labels.size})")
     image = data.test_images[args.index : args.index + 1]
@@ -396,12 +391,10 @@ def main(argv=None):
     p.add_argument("--shift", action="store_true", help="use shift rescaling")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("infer", help="fixed-point prediction on test images")
+    p = sub.add_parser("infer", help="fixed-point prediction of one test image")
     _add_common(p, with_train_flags=False)
     p.add_argument("--fxpm", required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--index", type=int, default=0)
-    group.add_argument("--all", action="store_true")
+    p.add_argument("--index", type=int, default=0)
     p.add_argument("--shift", action="store_true")
     p.set_defaults(fn=cmd_infer)
 

@@ -20,15 +20,16 @@ emits real logits scaled by weight_scale*in_scale. When every scale is a
 power of two the rescale collapses to an arithmetic shift (infer_shift).
 
 The accumulator contract is 32-bit signed: accumulator_bound gives
-fan_in * 2^(n-1) * (2^m - 1) + max|bias| per layer, freeze refuses a layer
-whose bound exceeds 2^31 - 1, and infer(debug=True)
-re-checks the realized accumulators. The multiply-accumulate is exact
+fan_in * 2^(n-1) * (2^m - 1) + max|bias| per layer, and freeze refuses a
+layer whose bound exceeds 2^31 - 1. The multiply-accumulate is exact
 integer arithmetic, carried out in any arithmetic the bound proves exact:
 every partial sum is an integer no larger than the bound, so a float32 GEMM
 is exact below 2^24 and a float64 GEMM below 2^53, and both run on BLAS.
-int64 is left for wider hand-built layers. Each call casts and permutes the
-weights once, then runs the images in tiles of 64, whose columns and
-accumulators stay cache-sized.
+int64 is left for wider hand-built layers. infer, infer_shift,
+simulate_float and predict take a model and its images, which encode_input
+refuses unless they are integer codes within input_bits. Each call casts
+and permutes the weights once, then runs the images in tiles of TILE (64),
+whose columns and accumulators stay cache-sized.
 
 The bit plan (LayerBits), the scales (ScaleState), the input-step and
 bias-grid rule and the quantizer tap (QuantTap) also live here, below
@@ -57,6 +58,7 @@ INT32_MAX = 2**31 - 1
 MAGIC = b"FXPM"
 VERSION = 1
 SHIFT_NONE = -(2**15)  # sentinel in the i16 shift slot
+TILE = 64  # images per inference tile
 
 # kind: (tag, geometry format, geometry fields) of a layer record, the same
 # in FXPM and QZIP (docs/formats.md)
@@ -160,27 +162,6 @@ def code_range(bits):
     are the two codes -1 and +1."""
     half = 2 ** (bits - 1)
     return (-1, 1) if bits == 1 else (-half, half - 1)
-
-
-@dataclass
-class IntTensor:
-    codes: np.ndarray
-    bits: int
-    signed: bool
-
-    def __post_init__(self):
-        self.codes = np.asarray(self.codes, dtype=np.int64)
-        if not 1 <= self.bits <= 32:
-            raise ValueError(f"bit-width {self.bits} out of range")
-        lo, hi = self.range()
-        if self.codes.size and (self.codes.min() < lo or self.codes.max() > hi):
-            raise ValueError(
-                f"codes outside [{lo}, {hi}] for {self.bits}-bit "
-                f"{'signed' if self.signed else 'unsigned'} tensor"
-            )
-
-    def range(self):
-        return code_range(self.bits) if self.signed else (0, 2**self.bits - 1)
 
 
 @dataclass
@@ -320,13 +301,16 @@ def _weight_codes(w, delta, bits):
 
 def encode_input(images, model: FixedPointModel):
     """uint8 images are already the input codes: pixel value = code, real
-    value = code * input_scale."""
+    value = code * input_scale. Returns the codes themselves, as NCHW for
+    (n, h, w) images, once checked to be integers within input_bits."""
     codes = np.asarray(images)
+    if codes.dtype.kind not in "ui":
+        raise ValueError(f"input codes must be integers, not {codes.dtype}")
     if codes.size and (codes.min() < 0 or codes.max() > 2**model.input_bits - 1):
         raise ValueError("input codes outside the declared input bit-width")
     if codes.ndim == 3:
         codes = codes.reshape(codes.shape[0], 1, codes.shape[1], codes.shape[2])
-    return IntTensor(codes, model.input_bits, signed=False)
+    return codes
 
 
 def _shift_exponent(x):
@@ -412,13 +396,13 @@ def _acc_dtype(bound):
     return np.float32 if bound < 2**24 else np.float64 if bound < 2**53 else np.int64
 
 
-def _kernels(model: FixedPointModel, in_bits):
+def _kernels(model: FixedPointModel):
     """Per parameter layer, once per call: the dtype its accumulator_bound
-    proves exact (in_bits is the input's width, then each layer's act_bits),
+    proves exact (on input_bits wide codes, then each layer's act_bits),
     its codes as an (inputs, outputs) matrix in that dtype, and its bias
     codes in that dtype. Conv codes are permuted to the (kh, kw, c) order of
     im2col's columns; an exact sum does not depend on the order."""
-    out = []
+    out, in_bits = [], model.input_bits
     for fx in model.param_layers:
         dtype = _acc_dtype(accumulator_bound(fx, in_bits))
         w = fx.codes.transpose(0, 2, 3, 1) if fx.kind == "conv" else fx.codes
@@ -470,7 +454,7 @@ def _requant_shift(acc, fx: FxLayer):
     return np.minimum(v, 2**fx.act_bits - 1, out=v)
 
 
-def _run_int(model: FixedPointModel, kernels, codes, shift, debug):
+def _run_int(model: FixedPointModel, kernels, codes, shift):
     """One batch, NHWC inside, each parameter layer a _mac on its _kernels
     entry. A requantization waits past the max-pools after it: the
     rescale is monotone, so the codes are the same, and fewer values are
@@ -488,11 +472,6 @@ def _run_int(model: FixedPointModel, kernels, codes, shift, debug):
             if logits is not None:
                 raise ValueError(f"layer {i} follows the final, unrequantized layer")
             acc = _mac(x, fx, next(params))
-            if debug and acc.size and np.abs(acc).max() > INT32_MAX:
-                raise OverflowError(
-                    f"accumulator {np.abs(acc).max()} exceeds the declared "
-                    f"32-bit width"
-                )
             if fx.act_bits:
                 x, pending = acc, fx
             else:
@@ -507,28 +486,27 @@ def _run_int(model: FixedPointModel, kernels, codes, shift, debug):
     return logits.transpose(0, 3, 1, 2) if logits.ndim == 4 else logits
 
 
-def _tiles(run, x, batch, model: FixedPointModel):
-    """run on each batch-image tile of x, the logits concatenated as
+def _tiles(run, x, model: FixedPointModel):
+    """run on each TILE-image tile of x, the logits concatenated as
     float64; (0, classes) when x holds no image."""
     if not len(x):
         return np.zeros((0, model.param_layers[-1].weight_shape[0]))
-    outs = [run(x[s : s + batch]) for s in range(0, len(x), batch)]
+    outs = [run(x[s : s + TILE]) for s in range(0, len(x), TILE)]
     return np.concatenate(outs, axis=0).astype(np.float64, copy=False)
 
 
-def _infer(model: FixedPointModel, inp, batch, debug, shift):
-    if not isinstance(inp, IntTensor):
-        inp = encode_input(inp, model)
-    kernels = _kernels(model, inp.bits)
-    return _tiles(lambda c: _run_int(model, kernels, c, shift, debug), inp.codes, batch, model)
+def _infer(model: FixedPointModel, images, shift):
+    codes = encode_input(images, model)
+    kernels = _kernels(model)
+    return _tiles(lambda c: _run_int(model, kernels, c, shift), codes, model)
 
 
-def infer(model: FixedPointModel, inp, batch=64, debug=False):
+def infer(model: FixedPointModel, images):
     """Integer-only forward; returns real logits (n, classes)."""
-    return _infer(model, inp, batch, debug, shift=False)
+    return _infer(model, images, shift=False)
 
 
-def infer_shift(model: FixedPointModel, inp, batch=64, debug=False):
+def infer_shift(model: FixedPointModel, images):
     """infer with every rescale done as an arithmetic shift (round half away
     from zero before truncation). Only valid when conversion found every
     multiplier to be a power of two."""
@@ -537,25 +515,20 @@ def infer_shift(model: FixedPointModel, inp, batch=64, debug=False):
             "model has non-power-of-two rescale multipliers; shift inference "
             "is undefined"
         )
-    return _infer(model, inp, batch, debug, shift=True)
+    return _infer(model, images, shift=True)
 
 
-def _oracle_dtype(model: FixedPointModel, images):
+def _oracle_dtype(model: FixedPointModel):
     """float32 when it computes simulate_float exactly, else float64. It
-    does when the images are input codes of the model's width, each layer
-    reads the codes of the one before with an accumulator_bound below 2^24
-    (the in_bits walk of freeze), and every step (input_scale, each
+    does when each layer reads the codes of the one before with an
+    accumulator_bound below 2^24 (the in_bits walk of freeze, from the
+    input codes encode_input admits), and every step (input_scale, each
     weight_scale, bias_step and requantized act_scale) is a power of two s
     with s and 2^24 * s in float32's normal range, 2^-126 .. 2^127. Every
     weight, bias, input and junction value is then an integer below
     2^24 times a step, and every partial sum an integer multiple of
     bias_step at most bound * bias_step, so each float32 product and sum is
     exact."""
-    codes = np.asarray(images)
-    if codes.dtype.kind not in "ui" or codes.size and (
-        codes.min() < 0 or codes.max() > 2**model.input_bits - 1
-    ):
-        return np.float64
     in_bits, in_scale, steps = model.input_bits, model.input_scale, [model.input_scale]
     for fx in model.param_layers:
         exact = in_bits and fx.in_scale == in_scale
@@ -567,7 +540,7 @@ def _oracle_dtype(model: FixedPointModel, images):
     return np.float32 if exact else np.float64
 
 
-def simulate_float(model: FixedPointModel, images, batch=64):
+def simulate_float(model: FixedPointModel, images):
     """The same network in real arithmetic with quantizers applied: the
     training-time quantized forward, to_network() through a QuantTap, and
     the oracle infer must agree with. to_network() already holds the grid
@@ -581,9 +554,10 @@ def simulate_float(model: FixedPointModel, images, batch=64):
     model runs in float64, and its logits differ from infer's only by the
     rounding of the float sums: round(logits / logit_scale) gives infer's
     accumulators, also for scales that are not powers of two, so the argmax
-    can differ from infer's only where infer's logits tie exactly. Tiles of
-    batch images bound the columns the conv layers keep; the float64 sums
-    can round differently for another tile size."""
+    can differ from infer's only where infer's logits tie exactly. It reads
+    the same input codes as infer, through encode_input. Tiles of TILE
+    images bound the columns the conv layers keep; the float64 sums can
+    round differently for another tile size."""
     params = model.param_layers
     tap = QuantTap(
         [LayerBits(None, l.act_bits or None) for l in params],
@@ -593,20 +567,18 @@ def simulate_float(model: FixedPointModel, images, batch=64):
             model.input_scale,
         ),
     )
-    dtype = _oracle_dtype(model, images)
+    codes = encode_input(images, model)
+    dtype = _oracle_dtype(model)
     net = model.to_network()
     for layer in net.param_layers:
         layer.W, layer.b = layer.W.astype(dtype, copy=False), layer.b.astype(dtype, copy=False)
-    x = np.asarray(images, dtype=dtype)
-    if x.ndim == 3:
-        x = x.reshape(x.shape[0], 1, x.shape[1], x.shape[2])
-    x = x * dtype(model.input_scale)
-    return _tiles(lambda t: net.forward(t, tap), x, batch, model)
+    x = codes.astype(dtype) * dtype(model.input_scale)
+    return _tiles(lambda t: net.forward(t, tap), x, model)
 
 
-def predict(model: FixedPointModel, inp, batch=64, shift=False):
+def predict(model: FixedPointModel, images, shift=False):
     run = infer_shift if shift else infer
-    return np.argmax(run(model, inp, batch=batch), axis=1)
+    return np.argmax(run(model, images), axis=1)
 
 
 # --- serialization ----------------------------------------------------------
@@ -699,13 +671,18 @@ class _Cursor:
 
     def take_record(self, i):
         """A layer record's kind tag and geometry, as a layer without
-        parameters."""
+        parameters. A kernel, stride or pool size of 0 is refused: the
+        engine cannot run one."""
         (tag,) = self.take("<B")
         kind = _TAG_KINDS.get(tag)
         if kind is None:
             raise FormatError(f"layer {i}: unknown kind tag {tag}")
         _, fmt, fields = _RECORDS[kind]
-        return FxLayer(kind, **dict(zip(fields, self.take(fmt))))
+        geometry = dict(zip(fields, self.take(fmt)))
+        for name in ("ksize", "stride", "size"):
+            if geometry.get(name) == 0:
+                raise FormatError(f"layer {i}: {kind} {name} is 0")
+        return FxLayer(kind, **geometry)
 
 
 def load_model(path_or_bytes):

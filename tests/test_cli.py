@@ -198,7 +198,6 @@ def test_convert_compress_eval_infer(ds, qat_run, tmp_path, capsys):
     assert rc == 0
     m = re.search(r"accuracy (\d\.\d{4})", captured.out)
     assert m, captured.out
-    fxpm_acc = m.group(1)
 
     rc = main(["infer", "--data", str(ds), "--fxpm", str(fxpm), "--index", "3"])
     captured = capsys.readouterr()
@@ -211,11 +210,10 @@ def test_convert_compress_eval_infer(ds, qat_run, tmp_path, capsys):
     # integer inference must agree with its float simulation
     assert m.group(1) == m.group(3)
 
-    rc = main(["infer", "--data", str(ds), "--fxpm", str(fxpm), "--all"])
-    captured = capsys.readouterr()
-    assert rc == 0
-    m = re.search(r"accuracy (\d\.\d{4}) on 64 images", captured.out)
-    assert m.group(1) == fxpm_acc
+    # eval --fxpm gives the accuracy of the whole test set; infer has no --all
+    with pytest.raises(SystemExit):
+        main(["infer", "--data", str(ds), "--fxpm", str(fxpm), "--all"])
+    capsys.readouterr()
 
     rc = main(
         ["compress", "--ckpt", str(qat_run / "checkpoint.npz"),

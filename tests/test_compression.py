@@ -368,6 +368,18 @@ def test_decode_rejects_malformed():
         cz._read_varint(bytes([0xFF] * 9 + [0x7F]), 0)
 
 
+def test_decode_refuses_a_zero_conv_stride():
+    # the archive's first record is the conv layer: its tag at offset 17,
+    # then in_ch (u16), out_ch (u16), ksize, stride and pad; freeze does not
+    # look at the stride, and infer divides by it
+    blob, _ = _conv_fc_archive()
+    assert blob[17:25] == bytes([1, 1, 0, 3, 0, 3, 1, 0])
+    bad = bytearray(blob)
+    bad[23] = 0
+    with pytest.raises(cz.FormatError, match="layer 0: conv stride is 0"):
+        cz.decode_model(bytes(bad))
+
+
 def test_decode_rejects_unread_payload():
     rng = np.random.default_rng(7)
     codes = [_random_codes(rng, (6, 6), 4, 0.5)]

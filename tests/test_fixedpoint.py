@@ -32,23 +32,12 @@ def _fc_layer(codes, bias, wbits, abits, d, din, dout):
     )
 
 
-def test_int_tensor_range_validation():
-    fx.IntTensor(np.array([-8, 7]), bits=4, signed=True)
-    fx.IntTensor(np.array([0, 15]), bits=4, signed=False)
-    with pytest.raises(ValueError):
-        fx.IntTensor(np.array([8]), bits=4, signed=True)
-    with pytest.raises(ValueError):
-        fx.IntTensor(np.array([-1]), bits=4, signed=False)
-    with pytest.raises(ValueError):
-        fx.IntTensor(np.array([0]), bits=0, signed=True)
-
-
 def test_hand_traced_single_multiply():
     # one input, one weight: weight code -1 at delta 0.5, input code 3 at
     # 0.25, bias code 2. acc = -1*3 + 2 = -1, logit scale 0.125 -> -0.125
     layer = _fc_layer([[-1]], [2], wbits=2, abits=0, d=0.5, din=0.25, dout=0.0)
     model = fx.FixedPointModel(input_scale=0.25, input_bits=8, layers=[layer])
-    logits = fx.infer(model, fx.IntTensor(np.array([[3]]), 8, signed=False))
+    logits = fx.infer(model, np.array([[3]]))
     assert logits.shape == (1, 1)
     assert logits[0, 0] == -0.125
     # with a requantizing output stage the negative value clips to code 0,
@@ -80,7 +69,7 @@ def test_identity_conv_passes_codes_through():
         input_bits=8,
         layers=[layer, fx.FxLayer(kind="flatten"), final],
     )
-    logits = fx.infer(model, fx.IntTensor(codes, 8, signed=False))
+    logits = fx.infer(model, codes)
     assert np.array_equal(logits[0], np.arange(16.0))
 
 
@@ -112,8 +101,7 @@ def test_zero_weight_model_gives_zero_logits_both_paths():
     model = fx.FixedPointModel(input_scale=0.25, input_bits=8, layers=[layer])
     rng = np.random.default_rng(0)
     flat_codes = rng.integers(0, 256, (5, 4)).astype(np.int64)
-    flat = fx.IntTensor(flat_codes, 8, signed=False)
-    assert np.all(fx.infer(model, flat) == 0.0)
+    assert np.all(fx.infer(model, flat_codes) == 0.0)
     sim_in = flat_codes.astype(np.float64)
     x = sim_in * model.input_scale
     assert np.all(x @ (layer.codes * 0.5).T == 0.0)
@@ -229,7 +217,7 @@ def test_infer_matches_simulate_float_random_models():
         net, scales, plan = _tiny_quantized_net(rng, delta_w, act_scale, input_scale)
         model = fx.convert(net, scales, plan)
         images = rng.integers(0, 256, (64, 8, 8)).astype(np.uint8)
-        logits = fx.infer(model, images, debug=True)
+        logits = fx.infer(model, images)
         sim = fx.simulate_float(model, images)
         assert np.array_equal(np.argmax(logits, 1), np.argmax(sim, 1))
         rel = np.max(np.abs(logits - sim)) / max(np.max(np.abs(sim)), 1e-12)
@@ -269,22 +257,42 @@ def test_non_pow2_model_rejects_shift_inference():
         fx.infer_shift(model, np.zeros((1, 8, 8), dtype=np.uint8))
 
 
-def test_debug_mode_reports_overflow():
+def test_hand_built_layer_past_the_bound_runs_exactly():
+    # freeze refuses this layer, whose bound passes 2^31 - 1; an IR that
+    # skips freeze still runs, and its realized 2^20 * 2^13 = 2^33 is exact
+    # in the dtype _acc_dtype picks from that bound
     layer = _fc_layer([[2**20]], [0], 32, 0, 1.0, 1.0, 0.0)
     model = fx.FixedPointModel(input_scale=1.0, input_bits=16, layers=[layer])
-    big = fx.IntTensor(np.array([[2**13]]), 16, signed=False)
-    with pytest.raises(OverflowError):
-        fx.infer(model, big, debug=True)
-    # without debug the int64 accumulator silently carries it
-    assert fx.infer(model, big)[0, 0] == float(2**33)
+    assert fx.infer(model, np.array([[2**13]]))[0, 0] == float(2**33)
 
 
 def test_encode_input_validates_range():
     model = fx.FixedPointModel(input_scale=1 / 255, input_bits=8)
     with pytest.raises(ValueError):
         fx.encode_input(np.full((1, 2, 2), 256), model)
-    t = fx.encode_input(np.zeros((3, 4, 4), dtype=np.uint8), model)
-    assert t.codes.shape == (3, 1, 4, 4)
+    codes = fx.encode_input(np.zeros((3, 4, 4), dtype=np.uint8), model)
+    assert codes.shape == (3, 1, 4, 4) and codes.dtype == np.uint8
+    # at 4 bits the codes are 0..15
+    narrow = fx.FixedPointModel(input_scale=1 / 15, input_bits=4)
+    assert fx.encode_input(np.array([[0, 15]]), narrow).tolist() == [[0, 15]]
+    for code in (16, -1):
+        with pytest.raises(ValueError, match="outside the declared input bit-width"):
+            fx.encode_input(np.array([[code]]), narrow)
+
+
+def test_every_entry_point_refuses_images_that_are_not_input_codes():
+    # a float image must not run on its truncated codes in infer while
+    # simulate_float computes with its fractions
+    model = _golden_pow2_model()
+    assert model.shift_only and model.input_bits == 8
+    images = golden._images()
+    too_high = images.astype(np.int32)
+    too_high[3, 4, 5] = 256
+    for run in (fx.infer, fx.infer_shift, fx.simulate_float, fx.predict):
+        with pytest.raises(ValueError, match="input codes must be integers"):
+            run(model, images + 0.7)
+        with pytest.raises(ValueError, match="outside the declared input bit-width"):
+            run(model, too_high)
 
 
 def test_save_load_round_trip_byte_exact():
@@ -327,6 +335,32 @@ def test_load_rejects_malformed_blobs():
         fx.load_model(bytes(bad_version))
     with pytest.raises(fx.FormatError):
         fx.load_model(blob[:6])
+
+
+def test_load_refuses_weight_codes_outside_their_bit_width():
+    # 4-bit weight codes are -8..7
+    layer = _fc_layer([[-8, 7]], [0], 4, 0, 0.5, 0.25, 0.0)
+    model = fx.FixedPointModel(input_scale=0.25, input_bits=8, layers=[layer])
+    assert fx.load_model(fx.save_model(None, model)).param_layers[0].codes.tolist() == [[-8, 7]]
+    for code in (8, -9):
+        layer.codes = np.array([[-8, code]])
+        with pytest.raises(fx.FormatError, match="weight codes out of range"):
+            fx.load_model(fx.save_model(None, model))
+
+
+@pytest.mark.parametrize("layer,field", [(0, "ksize"), (0, "stride"), (1, "size")])
+def test_load_refuses_a_zero_kernel_stride_or_pool_size(layer, field):
+    # conv - maxpool - flatten - fc; infer would divide by a zero stride or
+    # pool size
+    rng = np.random.default_rng(10)
+    net, scales, plan = _tiny_quantized_net(rng, 0.25, 0.5, 1 / 256)
+    model = fx.convert(net, scales, plan)
+    assert model.layers[layer].kind == ("maxpool" if field == "size" else "conv")
+    setattr(model.layers[layer], field, 0)
+    if field == "ksize":  # the stored weight count matches the geometry
+        model.layers[0].codes = model.layers[0].codes[:, :, :0, :0]
+    with pytest.raises(fx.FormatError, match=f"layer {layer}: .* {field} is 0"):
+        fx.load_model(fx.save_model(None, model))
 
 
 def test_big_lenet_conversion_is_statically_safe():
@@ -414,15 +448,16 @@ def test_engine_bit_identical_to_int64_oracle(wbits, abits, in_bits, dtype):
     for pow2 in (False, True):
         model = _random_engine_model(rng, wbits, abits, in_bits, pow2)
         assert set(_layer_dtypes(model, in_bits)) == {dtype}
-        codes = fx.IntTensor(rng.integers(0, 2**in_bits, (40, 1, 12, 12)), in_bits, False)
-        got = fx.infer(model, codes, batch=16)
-        want = oracles.int64_forward(model, codes.codes)
+        # 150 images make tiles of 64, 64 and a ragged 22
+        codes = rng.integers(0, 2**in_bits, (150, 1, 12, 12))
+        got = fx.infer(model, codes)
+        want = oracles.int64_forward(model, codes)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         # the images stay apart: the codes are not all clipped to one rail
         assert np.unique(got).size > 60
         if pow2:
-            shifted = fx.infer_shift(model, codes, batch=16)
-            want_shift = oracles.int64_forward(model, codes.codes, shift=True)
+            shifted = fx.infer_shift(model, codes)
+            want_shift = oracles.int64_forward(model, codes, shift=True)
             assert shifted.tobytes() == want_shift.tobytes()
             assert shifted.tobytes() == got.tobytes()
 
@@ -433,8 +468,8 @@ def test_int64_regime_matches_oracle():
     layer = _fc_layer(rng.integers(-(2**20), 2**20, (3, 5)), [7, -9, 2**40], 32, 0, 1.0, 1.0, 0.0)
     model = fx.FixedPointModel(input_scale=1.0, input_bits=32, layers=[layer])
     assert _layer_dtypes(model, 32) == [np.int64]
-    codes = fx.IntTensor(rng.integers(0, 2**22, (6, 5)), 32, signed=False)
-    assert fx.infer(model, codes).tobytes() == oracles.int64_forward(model, codes.codes).tobytes()
+    codes = rng.integers(0, 2**22, (6, 5))
+    assert fx.infer(model, codes).tobytes() == oracles.int64_forward(model, codes).tobytes()
 
 
 def _rail_model(kind, target, wbits, in_bits):
@@ -467,10 +502,10 @@ def _rail_model(kind, target, wbits, in_bits):
 def test_rail_inputs_reach_the_bound_exactly(kind, target, wbits, in_bits, dtype):
     model = _rail_model(kind, target, wbits, in_bits)
     assert _layer_dtypes(model, in_bits) == [dtype]
-    codes = fx.IntTensor(np.full((2, 2, 3, 3), 2**in_bits - 1), in_bits, signed=False)
+    codes = np.full((2, 2, 3, 3), 2**in_bits - 1)
     got = fx.infer(model, codes)
     assert np.all(got == -float(target))
-    assert got.tobytes() == oracles.int64_forward(model, codes.codes).tobytes()
+    assert got.tobytes() == oracles.int64_forward(model, codes).tobytes()
     assert fx.infer_shift(model, codes).tobytes() == got.tobytes()
 
 
@@ -545,7 +580,7 @@ def test_infer_refuses_a_layer_after_the_final_one():
     # with the middle output left unrequantized, the last layer would read the
     # first layer's codes: the shapes match, and the logits would be wrong
     model = _fc_16_8_8_5()
-    codes = fx.IntTensor(np.random.default_rng(16).integers(0, 256, (4, 16)), 8, False)
+    codes = np.random.default_rng(16).integers(0, 256, (4, 16))
     assert fx.infer(model, codes).shape == (4, 5)
     model.layers[1].act_bits = 0
     with pytest.raises(ValueError, match="layer 2 follows the final, unrequantized layer"):
@@ -651,37 +686,39 @@ def test_float32_oracle_gives_the_bytes_of_the_float64_one(which, monkeypatch):
         model, images = _golden_pow2_model(), golden._images()
     else:
         model, images = _pow2_lenet(rng), rng.integers(0, 256, (70, 28, 28)).astype(np.uint8)
-    assert fx._oracle_dtype(model, images) is np.float32
+    assert fx._oracle_dtype(model) is np.float32
     fast = fx.simulate_float(model, images)
     assert fast.dtype == np.float64
     assert np.unique(np.argmax(fast, 1)).size >= 4
     # to_network() in float64 through the same tap
-    monkeypatch.setattr(fx, "_oracle_dtype", lambda model, images: np.float64)
+    monkeypatch.setattr(fx, "_oracle_dtype", lambda model: np.float64)
     assert fx.simulate_float(model, images).tobytes() == fast.tobytes()
     assert fx.infer(model, images).tobytes() == fast.tobytes()
 
 
 def test_oracle_runs_float64_unless_float32_is_proven_exact():
     model, images = _golden_pow2_model(), golden._images()
-    assert fx._oracle_dtype(model, images) is np.float32
-    # images that are not input codes
-    assert fx._oracle_dtype(model, images.astype(np.float64)) is np.float64
-    assert fx._oracle_dtype(model, images.astype(np.int32) + 256) is np.float64
+    assert fx._oracle_dtype(model) is np.float32
+    # images that are not input codes are refused, as infer refuses them
+    with pytest.raises(ValueError, match="input codes must be integers"):
+        fx.simulate_float(model, images.astype(np.float64))
+    with pytest.raises(ValueError, match="outside the declared input bit-width"):
+        fx.simulate_float(model, images.astype(np.int32) + 256)
     # one scale that is not a power of two
     odd = _golden_pow2_model()
     odd.param_layers[2].weight_scale = 0.3
-    assert fx._oracle_dtype(odd, images) is np.float64
+    assert fx._oracle_dtype(odd) is np.float64
     # a power of two too small for float32's normal range
     tiny = _golden_pow2_model()
     tiny.input_scale = tiny.param_layers[0].in_scale = 2.0**-140
-    assert fx._oracle_dtype(tiny, images) is np.float64
+    assert fx._oracle_dtype(tiny) is np.float64
     # the final layer's bound, 8 * 8 * 15 plus its largest bias, reaches 2^24
     last = model.param_layers[-1]
     for bound, dtype in [(2**24 - 1, np.float32), (2**24, np.float64)]:
         last.bias_codes = last.bias_codes.copy()
         last.bias_codes[0] = bound - 8 * 8 * 15
         assert fx.accumulator_bound(last, 4) == bound
-        assert fx._oracle_dtype(model, images) is dtype
+        assert fx._oracle_dtype(model) is dtype
         # exact either way, so the oracle still gives infer's bytes
         assert fx.simulate_float(model, images).tobytes() == fx.infer(model, images).tobytes()
 
