@@ -32,6 +32,29 @@ def _fc_layer(codes, bias, wbits, abits, d, din, dout):
     )
 
 
+def test_int_tensor_range_validation():
+    # the engine's integer tensors hold codes of a declared width: unsigned
+    # input codes (0..15 at 4 bits), checked by encode_input, and signed
+    # weight codes (-8..7 at 4 bits), checked by load_model
+    narrow = fx.FixedPointModel(input_scale=1 / 15, input_bits=4)
+    assert fx.encode_input(np.array([[0, 15]]), narrow).tolist() == [[0, 15]]
+    for code in (16, -1):
+        with pytest.raises(ValueError, match="outside the declared input bit-width"):
+            fx.encode_input(np.array([[code]]), narrow)
+    layer = _fc_layer([[-8, 7]], [0], 4, 0, 0.5, 0.25, 0.0)
+    model = fx.FixedPointModel(input_scale=0.25, input_bits=8, layers=[layer])
+    assert fx.load_model(fx.save_model(None, model)).param_layers[0].codes.tolist() == [[-8, 7]]
+    for code in (8, -9):
+        layer.codes = np.array([[-8, code]])
+        with pytest.raises(fx.FormatError, match="weight codes out of range"):
+            fx.load_model(fx.save_model(None, model))
+    # a bit-width of 0 declares no codes at all
+    layer.codes = np.array([[-8, 7]])
+    model.input_bits = 0
+    with pytest.raises(fx.FormatError, match="invalid input encoding"):
+        fx.load_model(fx.save_model(None, model))
+
+
 def test_hand_traced_single_multiply():
     # one input, one weight: weight code -1 at delta 0.5, input code 3 at
     # 0.25, bias code 2. acc = -1*3 + 2 = -1, logit scale 0.125 -> -0.125
@@ -272,12 +295,6 @@ def test_encode_input_validates_range():
         fx.encode_input(np.full((1, 2, 2), 256), model)
     codes = fx.encode_input(np.zeros((3, 4, 4), dtype=np.uint8), model)
     assert codes.shape == (3, 1, 4, 4) and codes.dtype == np.uint8
-    # at 4 bits the codes are 0..15
-    narrow = fx.FixedPointModel(input_scale=1 / 15, input_bits=4)
-    assert fx.encode_input(np.array([[0, 15]]), narrow).tolist() == [[0, 15]]
-    for code in (16, -1):
-        with pytest.raises(ValueError, match="outside the declared input bit-width"):
-            fx.encode_input(np.array([[code]]), narrow)
 
 
 def test_every_entry_point_refuses_images_that_are_not_input_codes():
@@ -335,17 +352,6 @@ def test_load_rejects_malformed_blobs():
         fx.load_model(bytes(bad_version))
     with pytest.raises(fx.FormatError):
         fx.load_model(blob[:6])
-
-
-def test_load_refuses_weight_codes_outside_their_bit_width():
-    # 4-bit weight codes are -8..7
-    layer = _fc_layer([[-8, 7]], [0], 4, 0, 0.5, 0.25, 0.0)
-    model = fx.FixedPointModel(input_scale=0.25, input_bits=8, layers=[layer])
-    assert fx.load_model(fx.save_model(None, model)).param_layers[0].codes.tolist() == [[-8, 7]]
-    for code in (8, -9):
-        layer.codes = np.array([[-8, code]])
-        with pytest.raises(fx.FormatError, match="weight codes out of range"):
-            fx.load_model(fx.save_model(None, model))
 
 
 @pytest.mark.parametrize("layer,field", [(0, "ksize"), (0, "stride"), (1, "size")])
