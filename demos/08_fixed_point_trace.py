@@ -44,7 +44,7 @@ def main():
     x = x.transpose(0, 2, 3, 1)
     kernels = iter(fx._kernels(model))
     for i, layer in enumerate(model.layers):
-        if layer.kind in ("conv", "fc"):
+        if layer.params:
             kernel = next(kernels)
             acc = fx._mac(x, layer, kernel)
             head = (f"  {i}: {layer.kind:4} {np.dtype(kernel[0]).name:7} acc "

@@ -277,19 +277,7 @@ def cmd_compress(args):
     print(f"wrote {out}")
     print(rep)
     with open(out.with_suffix(".report.json"), "w") as f:
-        json.dump(
-            {
-                "original_bits": rep.original_bits,
-                "compressed_bits": rep.compressed_bits,
-                "ratio": rep.ratio,
-                "zero_fraction_before": rep.zero_fraction_before,
-                "zero_fraction_after": rep.zero_fraction_after,
-                "component_bits": rep.component_bits,
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
+        json.dump(dataclasses.asdict(rep), f, indent=2, sort_keys=True)
     return 0
 
 

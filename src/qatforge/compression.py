@@ -294,7 +294,7 @@ def encode_model(net, masks, scales, plan):
     pidx = 0
     for q in model.layers:
         _write_record(out, q)
-        if q.kind in ("conv", "fc"):
+        if q.params:
             nnz = len(streams[pidx][0])
             out += struct.pack(
                 "<dddII", q.weight_scale, q.bias_step, q.act_scale, nnz,
@@ -359,7 +359,7 @@ def _decode(archive):
     in_scale = input_scale  # the input step of the next parameter layer
     for i in range(n_layers):
         layer = cur.take_record(i)
-        if layer.kind in ("conv", "fc"):
+        if layer.params:
             d, step, act_scale, nnz, n_bias = cur.take("<dddII")
             shape = layer.weight_shape
             size = math.prod(shape)

@@ -1,8 +1,8 @@
 """The quantized-model IR and integer-only inference.
 
 FixedPointModel is the one representation of a quantized network: per
-layer its geometry, integer weight codes, integer biases on the
-weight_scale * in_scale grid, and the scales that tie them together.
+layer its geometry (the fields of its nn class), integer weight codes,
+integer biases on the weight_scale * in_scale grid, and its scales.
 FixedPointModel.from_network builds it from a trained float network, its
 scales and its bit plan; convert (here) and compression.encode_model both
 start from it. Its two serializations are FXPM (save_model/load_model,
@@ -51,8 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quantizers as qz
-from .models import net_from_spec, net_spec
-from .nn import im2col, max_pool
+from .nn import Conv2d, Flatten, Linear, MaxPool2d, Network, ReLU, fan_in, im2col, max_pool
 
 INT32_MAX = 2**31 - 1
 MAGIC = b"FXPM"
@@ -60,16 +59,17 @@ VERSION = 1
 SHIFT_NONE = -(2**15)  # sentinel in the i16 shift slot
 TILE = 64  # images per inference tile
 
-# kind: (tag, geometry format, geometry fields) of a layer record, the same
-# in FXPM and QZIP (docs/formats.md)
+# IR kind: (tag, geometry format, nn class) of a layer record, the same in
+# FXPM and QZIP (docs/formats.md); the geometry is the class's fields
 _RECORDS = {
-    "conv": (1, "<HHBBB", ("in_ch", "out_ch", "ksize", "stride", "pad")),
-    "fc": (2, "<II", ("in_features", "out_features")),
-    "relu": (3, "<", ()),
-    "maxpool": (4, "<B", ("size",)),
-    "flatten": (5, "<", ()),
+    "conv": (1, "<HHBBB", Conv2d),
+    "fc": (2, "<II", Linear),
+    "relu": (3, "<", ReLU),
+    "maxpool": (4, "<B", MaxPool2d),
+    "flatten": (5, "<", Flatten),
 }
 _TAG_KINDS = {tag: kind for kind, (tag, _, _) in _RECORDS.items()}
+_CLASS_KINDS = {cls: kind for kind, (_, _, cls) in _RECORDS.items()}
 
 
 # --- the bit plan, the scales and the quantizer tap ------------------------
@@ -127,7 +127,6 @@ class QuantTap:
         self.scales = scales
         n = len(plan)
         self.wcode = [None] * n
-        self.wq = [None] * n
         self.bq = [None] * n
         self.pre_acts = [None] * n
 
@@ -137,10 +136,9 @@ class QuantTap:
             return w, b
         d = float(self.scales.weight_scales[idx])
         code = qz.code_signed(w, d, bits)
-        wq = d * code
         bq = qz.snap_to_grid(b, bias_grid_step(self.plan, self.scales, idx))
-        self.wcode[idx], self.wq[idx], self.bq[idx] = code, wq, bq
-        return wq, bq
+        self.wcode[idx], self.bq[idx] = code, bq
+        return d * code, bq
 
     def activation(self, idx, x):
         self.pre_acts[idx] = x
@@ -170,16 +168,14 @@ class FxLayer:
     the codes, bit-widths and scales."""
 
     kind: str
-    # conv geometry
+    # geometry: the fields of the conv, fc and maxpool nn classes
     in_ch: int = 0
     out_ch: int = 0
     ksize: int = 0
     stride: int = 1
     pad: int = 0
-    # fc geometry
     in_features: int = 0
     out_features: int = 0
-    # pool geometry
     size: int = 0
     # parameters (conv/fc only)
     codes: np.ndarray | None = None  # full-shape weight codes, zeros included
@@ -190,6 +186,16 @@ class FxLayer:
     in_scale: float = 0.0  # real value of one input code step
     act_scale: float = 0.0  # real value of one output code step; 0.0 when act_bits = 0
     shift: int | None = None
+
+    @property
+    def params(self):
+        """True for conv and fc, as the nn class says."""
+        return _RECORDS[self.kind][2].params
+
+    @property
+    def geometry(self):
+        """The values of the nn class's fields, in its constructor order."""
+        return [getattr(self, f) for f in _RECORDS[self.kind][2].fields]
 
     @property
     def logit_scale(self):
@@ -229,7 +235,7 @@ class FixedPointModel:
 
     @property
     def param_layers(self):
-        return [l for l in self.layers if l.kind in ("conv", "fc")]
+        return [l for l in self.layers if l.params]
 
     @property
     def weight_bits(self):
@@ -249,40 +255,31 @@ class FixedPointModel:
         input step of each layer from input_step. It refuses a layer with no
         weight bit-width and, before the division or cast, a bad scale or a
         bias code outside int32; freeze checks the rest of the contract."""
-        model = cls(input_scale=float(scales.input_scale))
-        params, pidx = net.param_layers, 0
-        for entry in net_spec(net):
-            kind = "fc" if entry[0] == "linear" else entry[0]
-            layer = FxLayer(kind, **dict(zip(_RECORDS[kind][2], entry[1:])))
-            if kind in ("conv", "fc"):
-                p = plan[pidx]
-                if p.weights is None:
-                    raise ValueError(
-                        f"layer {pidx} has no weight bit-width: integer-only "
-                        "conversion needs every parameter layer quantized"
-                    )
-                layer.weight_bits, layer.act_bits = p.weights, p.acts or 0
-                layer.weight_scale = float(scales.weight_scales[pidx])
-                layer.in_scale = input_step(plan, scales, pidx)
-                if p.acts is not None:
-                    layer.act_scale = _scale(pidx, "act_scale", float(scales.act_scales[pidx]))
-                layer.codes = _weight_codes(params[pidx].W, layer.weight_scale, p.weights)
-                bias = params[pidx].b / _scale(pidx, "bias_step", layer.bias_step)
-                if not (np.abs(bias) <= INT32_MAX).all():  # nan fails too
-                    raise ValueError(f"layer {pidx}: bias codes exceed 32-bit range")
-                layer.bias_codes = qz.round_half_away(bias).astype(np.int64)
-                pidx += 1
-            model.layers.append(layer)
+        layers = [FxLayer(_CLASS_KINDS[type(l)], **{f: getattr(l, f) for f in l.fields})
+                  for l in net.layers]
+        model = cls(input_scale=float(scales.input_scale), layers=layers)
+        for pidx, (src, layer) in enumerate(zip(net.param_layers, model.param_layers)):
+            p = plan[pidx]
+            if p.weights is None:
+                raise ValueError(
+                    f"layer {pidx} has no weight bit-width: integer-only "
+                    "conversion needs every parameter layer quantized"
+                )
+            layer.weight_bits, layer.act_bits = p.weights, p.acts or 0
+            layer.weight_scale = float(scales.weight_scales[pidx])
+            layer.in_scale = input_step(plan, scales, pidx)
+            if p.acts is not None:
+                layer.act_scale = _scale(pidx, "act_scale", float(scales.act_scales[pidx]))
+            layer.codes = _weight_codes(src.W, layer.weight_scale, p.weights)
+            bias = src.b / _scale(pidx, "bias_step", layer.bias_step)
+            if not (np.abs(bias) <= INT32_MAX).all():  # nan fails too
+                raise ValueError(f"layer {pidx}: bias codes exceed 32-bit range")
+            layer.bias_codes = qz.round_half_away(bias).astype(np.int64)
         return model
 
     def to_network(self):
         """A float network carrying the exact dequantized values."""
-        spec = [
-            ["linear" if l.kind == "fc" else l.kind,
-             *(getattr(l, f) for f in _RECORDS[l.kind][2])]
-            for l in self.layers
-        ]
-        net = net_from_spec(spec)
+        net = Network(_RECORDS[l.kind][2](*l.geometry) for l in self.layers)
         for src, dst in zip(self.param_layers, net.param_layers):
             dst.W, dst.b = src.weights(), src.biases()
         return net
@@ -385,9 +382,8 @@ def accumulator_bound(fx: FxLayer, in_bits):
     """fan_in * 2^(n-1) * (2^m_in - 1) + max|bias|: the largest magnitude any
     partial sum of the layer's multiply-accumulate can reach, in any order,
     when its inputs are m_in-bit codes."""
-    fan_in = fx.in_ch * fx.ksize**2 if fx.kind == "conv" else fx.in_features
     bias = int(np.abs(fx.bias_codes).max()) if fx.bias_codes.size else 0
-    return fan_in * 2 ** (fx.weight_bits - 1) * (2**in_bits - 1) + bias
+    return fan_in(fx.weight_shape) * 2 ** (fx.weight_bits - 1) * (2**in_bits - 1) + bias
 
 
 def _acc_dtype(bound):
@@ -468,7 +464,7 @@ def _run_int(model: FixedPointModel, kernels, codes, shift):
         if pending is not None:
             x = (_requant_shift if shift else _requant_mult)(x, pending)
             pending = None
-        if fx.kind in ("conv", "fc"):
+        if fx.params:
             if logits is not None:
                 raise ValueError(f"layer {i} follows the final, unrequantized layer")
             acc = _mac(x, fx, next(params))
@@ -590,9 +586,9 @@ def _code_dtype(bits):
 
 def _write_record(out, layer):
     """A layer record's kind tag and geometry, shared with QZIP."""
-    tag, fmt, fields = _RECORDS[layer.kind]
+    tag, fmt, _ = _RECORDS[layer.kind]
     out += struct.pack("<B", tag)
-    out += struct.pack(fmt, *(getattr(layer, f) for f in fields))
+    out += struct.pack(fmt, *layer.geometry)
 
 
 def save_model(path_or_none, model: FixedPointModel):
@@ -604,7 +600,7 @@ def save_model(path_or_none, model: FixedPointModel):
                        model.input_bits, model.input_scale, len(model.layers))
     for fx in model.layers:
         _write_record(out, fx)
-        if fx.kind in ("conv", "fc"):
+        if fx.params:
             shift = SHIFT_NONE if fx.shift is None else fx.shift
             out += struct.pack(
                 "<BBdddhII",
@@ -677,8 +673,8 @@ class _Cursor:
         kind = _TAG_KINDS.get(tag)
         if kind is None:
             raise FormatError(f"layer {i}: unknown kind tag {tag}")
-        _, fmt, fields = _RECORDS[kind]
-        geometry = dict(zip(fields, self.take(fmt)))
+        _, fmt, cls = _RECORDS[kind]
+        geometry = dict(zip(cls.fields, self.take(fmt)))
         for name in ("ksize", "stride", "size"):
             if geometry.get(name) == 0:
                 raise FormatError(f"layer {i}: {kind} {name} is 0")
@@ -708,7 +704,7 @@ def load_model(path_or_bytes):
     model = FixedPointModel(input_scale=input_scale, input_bits=input_bits)
     for i in range(n_layers):
         fx = cur.take_record(i)
-        if fx.kind in ("conv", "fc"):
+        if fx.params:
             (fx.weight_bits, fx.act_bits, fx.weight_scale, fx.in_scale,
              fx.act_scale, shift, n_w, n_b) = cur.take("<BBdddhII")
             if not 1 <= fx.weight_bits <= 16:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from .nn import Conv2d, Flatten, Linear, MaxPool2d, Network, ReLU
 
+_KINDS = {cls.kind: cls for cls in (Conv2d, Linear, ReLU, MaxPool2d, Flatten)}
+
 
 def build_lenet(rng=None):
     """The desk-scale MNIST topology:
@@ -25,40 +27,16 @@ def build_lenet(rng=None):
 
 
 def net_spec(net):
-    """Structural description of a network, JSON-friendly."""
-    spec = []
-    for layer in net.layers:
-        if isinstance(layer, Conv2d):
-            spec.append(
-                ["conv", layer.in_ch, layer.out_ch, layer.ksize, layer.stride, layer.pad]
-            )
-        elif isinstance(layer, Linear):
-            spec.append(["linear", layer.in_features, layer.out_features])
-        elif isinstance(layer, MaxPool2d):
-            spec.append(["maxpool", layer.size])
-        elif isinstance(layer, ReLU):
-            spec.append(["relu"])
-        elif isinstance(layer, Flatten):
-            spec.append(["flatten"])
-        else:
-            raise TypeError(f"unknown layer type {type(layer).__name__}")
-    return spec
+    """JSON-friendly structure: per layer, its nn class's kind and fields."""
+    return [[l.kind, *(getattr(l, f) for f in l.fields)] for l in net.layers]
 
 
 def net_from_spec(spec, rng=None):
+    """The network of a spec; an unknown kind (from disk) is a ValueError."""
     layers = []
-    for entry in spec:
-        kind, args = entry[0], entry[1:]
-        if kind == "conv":
-            layers.append(Conv2d(*map(int, args), rng=rng))
-        elif kind == "linear":
-            layers.append(Linear(*map(int, args), rng=rng))
-        elif kind == "maxpool":
-            layers.append(MaxPool2d(int(args[0])))
-        elif kind == "relu":
-            layers.append(ReLU())
-        elif kind == "flatten":
-            layers.append(Flatten())
-        else:
+    for kind, *args in spec:
+        cls = _KINDS.get(kind) if isinstance(kind, str) else None
+        if cls is None:
             raise ValueError(f"unknown layer kind {kind!r}")
+        layers.append(cls(*map(int, args), **({"rng": rng} if cls.params else {})))
     return Network(layers)

@@ -6,10 +6,14 @@ parameters and inter-layer activations through a tap (see fixedpoint.QuantTap):
 the tap may substitute quantized copies for the forward pass while the float
 masters keep receiving updates, and it owns the straight-through backward
 rule at the activation junctions. Linear weights are (out, in), conv
-weights (out, in, kh, kw). Training keeps everything float64; Conv2d and
-Linear compute in the dtype of the weights they are given, casting their
-input to it, which lets fixedpoint.simulate_float run a network whose
-weights it cast to float32.
+weights (out, in, kh, kw); fan_in counts all dimensions but the first.
+Training keeps everything float64; Conv2d and Linear compute in the dtype of
+the weights they are given, casting their input to it, which lets
+fixedpoint.simulate_float run a network whose weights it cast to float32.
+
+Each layer class declares its spec name (kind), its geometry attributes in
+constructor order (fields) and whether it has weights (params); the specs of
+models, the fixedpoint IR and both of its formats read these declarations.
 
 Feature maps have NCHW shape and channels-last memory. Conv2d and MaxPool2d
 read their input through the NHWC view x.transpose(0, 2, 3, 1), which costs
@@ -29,13 +33,19 @@ im2col and max_pool on its NHWC codes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
-def _he_normal(rng, shape, fan_in):
+def fan_in(weight_shape):
+    return math.prod(weight_shape[1:])
+
+
+def _he_normal(rng, shape):
     if rng is None:
         return np.zeros(shape)
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+    return rng.normal(0.0, np.sqrt(2.0 / fan_in(shape)), size=shape)
 
 
 def im2col(x, k, stride, pad=0):
@@ -80,6 +90,8 @@ def max_pool(x, k):
 
 
 class Conv2d:
+    kind = "conv"
+    fields = ("in_ch", "out_ch", "ksize", "stride", "pad")
     params = True
 
     def __init__(self, in_ch, out_ch, ksize, stride=1, pad=0, rng=None):
@@ -87,7 +99,7 @@ class Conv2d:
             raise ValueError("bad conv geometry")
         self.in_ch, self.out_ch, self.ksize = in_ch, out_ch, ksize
         self.stride, self.pad = stride, pad
-        self.W = _he_normal(rng, (out_ch, in_ch, ksize, ksize), in_ch * ksize * ksize)
+        self.W = _he_normal(rng, (out_ch, in_ch, ksize, ksize))
         self.b = np.zeros(out_ch)
         self.gW = None
         self.gb = None
@@ -135,11 +147,13 @@ class Conv2d:
 
 
 class Linear:
+    kind = "linear"
+    fields = ("in_features", "out_features")
     params = True
 
     def __init__(self, in_features, out_features, rng=None):
         self.in_features, self.out_features = in_features, out_features
-        self.W = _he_normal(rng, (out_features, in_features), in_features)
+        self.W = _he_normal(rng, (out_features, in_features))
         self.b = np.zeros(out_features)
         self.gW = None
         self.gb = None
@@ -159,6 +173,8 @@ class Linear:
 
 
 class ReLU:
+    kind = "relu"
+    fields = ()
     params = False
 
     def forward(self, x):
@@ -174,6 +190,8 @@ class MaxPool2d:
     the first maximal element in window order, which keeps backward
     deterministic even on quantized activations where ties are common."""
 
+    kind = "maxpool"
+    fields = ("size",)
     params = False
 
     def __init__(self, size):
@@ -205,6 +223,8 @@ class MaxPool2d:
 
 
 class Flatten:
+    kind = "flatten"
+    fields = ()
     params = False
 
     def forward(self, x):
@@ -221,28 +241,26 @@ class Network:
     forward(x, tap) is pure with respect to parameters: when a tap is given,
     each parameter layer runs on tap.weights(idx, W, b) and the input of
     every parameter layer after the first passes through
-    tap.activation(idx - 1, x). backward replays the chain in reverse,
+    tap.activation(idx - 1, x). backward walks the layers in reverse,
     invoking tap.activation_backward at the same junctions.
     """
 
     def __init__(self, layers):
         self.layers = list(layers)
-        self._steps = None
         self._tap = None
+        self._ran = False
 
     @property
     def param_layers(self):
-        return [l for l in self.layers if getattr(l, "params", False)]
+        return [l for l in self.layers if l.params]
 
     def forward(self, x, tap=None):
-        steps = []
         pi = 0
         for layer in self.layers:
-            if getattr(layer, "params", False):
+            if layer.params:
                 if tap is not None:
                     if pi > 0:
                         x = tap.activation(pi - 1, x)
-                        steps.append(("tap", pi - 1))
                     w, b = tap.weights(pi, layer.W, layer.b)
                 else:
                     w, b = layer.W, layer.b
@@ -250,25 +268,22 @@ class Network:
                 pi += 1
             else:
                 x = layer.forward(x)
-            steps.append(("layer", layer))
-        self._steps = steps
-        self._tap = tap
+        self._tap, self._ran = tap, True
         return x
 
     def backward(self, gout):
-        if self._steps is None:
+        if not self._ran:
             raise RuntimeError("backward called before forward")
-        g = gout
-        for i in range(len(self._steps) - 1, -1, -1):
-            kind, payload = self._steps[i]
-            if kind == "layer":
-                if getattr(payload, "params", False):
-                    # the input gradient of the earliest layer feeds nothing
-                    g = payload.backward(g, need_input_grad=i > 0)
-                else:
-                    g = payload.backward(g)
+        g, pi = gout, len(self.param_layers)
+        for i, layer in reversed(list(enumerate(self.layers))):
+            if layer.params:
+                # the input gradient of the earliest layer feeds nothing
+                g = layer.backward(g, need_input_grad=i > 0)
+                pi -= 1
+                if pi > 0 and self._tap is not None:
+                    g = self._tap.activation_backward(pi - 1, g)
             else:
-                g = self._tap.activation_backward(payload, g)
+                g = layer.backward(g)
         return g
 
 

@@ -26,11 +26,10 @@ def _check_bits(bits):
 
 @dataclass(frozen=True)
 class QuantSpec:
-    """Bit-widths for one run: weights, activations, power-of-two scales."""
+    """Bit-widths for one run: weights and activations."""
 
     weight_bits: int
     act_bits: int
-    pow2_scales: bool = False
 
     def __post_init__(self):
         _check_bits(self.weight_bits)

@@ -516,18 +516,18 @@ def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
     final_acc = log.acc_rows[-1][2]
     if quantized:
         _snapshot_histograms(log, net, plan, scales, it)
-        if pow2:
+        if pow2:  # rounded scales move the grids; snapping (below) keeps the forward
             scales.weight_scales[widx] = qz.round_pow2(scales.weight_scales[widx])
             if aidx:
                 scales.act_scales[aidx] = qz.round_pow2(scales.act_scales[aidx])
+            eval_tap = QuantTap(plan, scales)
+            final_acc = evaluate(net, test_x, test_y, input_scale, eval_tap, cfg.eval_batch)
         diagnostics = _convergence_stats(net, plan, scales)
         if cfg.snap_at_end:
             snap_to_levels(net, scales, plan)
             if masks is not None:
                 for layer, keep in zip(params, masks):
                     layer.W[~keep] = 0.0
-        eval_tap = QuantTap(plan, scales)
-        final_acc = evaluate(net, test_x, test_y, input_scale, eval_tap, cfg.eval_batch)
     elif prune:
         weights = [layer.W for layer in params]
         theta = rg.prune_threshold(weights, cfg.prune_ratio)

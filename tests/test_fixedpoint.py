@@ -2,6 +2,7 @@
 float-simulation oracle, and the serialized model format."""
 
 import ast
+import struct
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import oracles
 import test_golden as golden
 from qatforge import fixedpoint as fx
 from qatforge import quantizers as qz
-from qatforge.models import build_lenet, net_from_spec
+from qatforge.models import build_lenet, net_from_spec, net_spec
 from qatforge.training import LayerBits, ScaleState, bias_grid_step
 
 
@@ -310,6 +311,32 @@ def test_every_entry_point_refuses_images_that_are_not_input_codes():
             run(model, images + 0.7)
         with pytest.raises(ValueError, match="outside the declared input bit-width"):
             run(model, too_high)
+
+
+def test_record_formats_match_the_layer_classes():
+    for kind, (tag, fmt, cls) in fx._RECORDS.items():
+        assert len(struct.unpack(fmt, bytes(struct.calcsize(fmt)))) == len(cls.fields)
+        assert fx.FxLayer(kind).params == cls.params == (kind in ("conv", "fc"))
+    assert sorted(tag for tag, _, _ in fx._RECORDS.values()) == [1, 2, 3, 4, 5]
+
+
+def test_from_network_to_network_keeps_every_class_and_geometry():
+    spec = [["conv", 1, 2, 3, 2, 1], ["relu"], ["maxpool", 2], ["flatten"], ["linear", 8, 3]]
+    net = net_from_spec(spec, rng=np.random.default_rng(5))
+    plan = [LayerBits(4, 4), LayerBits(4, None)]
+    scales = ScaleState(np.array([0.1, 0.05]), np.array([0.25, 1.0]), 1 / 255)
+    model = fx.FixedPointModel.from_network(net, scales, plan)
+    assert [l.kind for l in model.layers] == ["conv", "relu", "maxpool", "flatten", "fc"]
+    back = model.to_network()
+    assert [type(l) for l in back.layers] == [type(l) for l in net.layers]
+    assert net_spec(back) == spec
+    for src, dst in zip(model.param_layers, back.param_layers):
+        assert np.array_equal(dst.W, src.weights()) and np.array_equal(dst.b, src.biases())
+    again = fx.FixedPointModel.from_network(back, scales, plan)
+    for a, b in zip(model.layers, again.layers):
+        assert a.geometry == b.geometry and a.kind == b.kind
+    for a, b in zip(model.param_layers, again.param_layers):
+        assert np.array_equal(a.codes, b.codes) and np.array_equal(a.bias_codes, b.bias_codes)
 
 
 def test_save_load_round_trip_byte_exact():

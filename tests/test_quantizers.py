@@ -244,5 +244,5 @@ def test_validation_errors():
 
 
 def test_quantspec_fields():
-    spec = qz.QuantSpec(weight_bits=4, act_bits=8, pow2_scales=True)
-    assert spec.weight_bits == 4 and spec.act_bits == 8 and spec.pow2_scales
+    spec = qz.QuantSpec(weight_bits=4, act_bits=8)
+    assert spec.weight_bits == 4 and spec.act_bits == 8

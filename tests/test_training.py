@@ -186,7 +186,6 @@ def test_quant_tap_substitutes_grid_values():
     bq = qz.snap_to_grid(layer.b, 0.1 / 255)
     want = x.reshape(5, -1) @ wq.T + bq
     assert np.max(np.abs(logits - want)) == 0.0
-    assert np.array_equal(tap.wq[0], wq)
     assert np.array_equal(tap.bq[0], bq)
 
 
@@ -348,6 +347,51 @@ def test_prune_then_qat_composition():
         qz.quantize_signed(net.param_layers[0].W, d, cfg.weight_bits),
         net.param_layers[0].W,
     )
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(mode="qat"),
+        dict(mode="qat", weight_bits=1),
+        dict(mode="prune_then_qat", prune_ratio=0.5, prune_epochs=1),
+        dict(mode="prune_then_qat", prune_ratio=0.5, prune_epochs=1, weight_bits=1),
+        dict(mode="qat_pow2"),
+    ],
+    ids=["qat", "qat_1bit", "prune_then_qat", "prune_then_qat_1bit", "qat_pow2"],
+)
+def test_final_accuracy_is_the_snapped_nets_accuracy(kw):
+    """Only qat_pow2 evaluates again at the end; snapping onto the grids
+    keeps every other run's last-epoch accuracy."""
+    data = _toy_data(np.random.default_rng(2))
+    net = _conv_net(np.random.default_rng(7))
+    cfg = _cfg(epochs=1, lr=1e-3, **kw)
+    res = tr.train(net, data, cfg)
+    tap = tr.QuantTap(tr.quant_plan(2, cfg), res.scales)
+    acc = tr.evaluate(net, data.test_images, data.test_labels, res.scales.input_scale, tap)
+    assert 0.4 < acc < 0.9  # a half-trained run, where grid changes show
+    assert acc == res.final_accuracy
+    last_epoch = res.log.acc_rows[-1][2]
+    # rounding the scales to powers of two moves this run's accuracy
+    assert (acc == last_epoch) == (kw["mode"] != "qat_pow2")
+
+
+def test_spec_round_trips_every_layer_kind():
+    spec = [["conv", 1, 2, 3, 2, 1], ["maxpool", 2], ["relu"], ["flatten"], ["linear", 8, 3]]
+    net = net_from_spec(spec, rng=np.random.default_rng(0))
+    assert [type(l) for l in net.layers] == [qf.Conv2d, qf.MaxPool2d, qf.ReLU, qf.Flatten, qf.Linear]
+    assert qf.net_spec(net) == spec
+    assert [l.params for l in net.layers] == [True, False, False, False, True]
+    assert net.layers[0].W.std() > 0 and not net.layers[0].b.any()
+    # without an rng the weights are zero
+    assert not net_from_spec(spec).param_layers[1].W.any()
+
+
+def test_net_from_spec_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown layer kind 'dense'"):
+        net_from_spec([["flatten"], ["dense", 64, 4]])
+    with pytest.raises(ValueError, match="unknown layer kind"):
+        net_from_spec([[["linear"], 64, 4]])
 
 
 def test_cost_functions():
