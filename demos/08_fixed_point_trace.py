@@ -4,9 +4,10 @@ Everything after the input is integer arithmetic: weights and activations
 are small codes, each layer's multiply-accumulate is exact (statically
 proven to fit 32 bits, and run as a float32 or float64 GEMM only where the
 same bound proves that exact), and each junction requantizes with one
-multiplier. The trace prints the accumulate type, the code ranges and the
-accumulator extremes at every step, then checks the integer argmax against
-the float simulation of the same quantized network on the whole test set.
+multiplier. The trace runs infer's own layers and junction tap, and prints
+the accumulate type, the accumulator extremes and the code ranges at every
+junction, then checks the integer argmax against the float simulation of
+the same quantized network on the whole test set.
 
 Needs a quantized checkpoint; run 04_qat_4bit.py first (or pass --ckpt).
 """
@@ -17,7 +18,32 @@ import numpy as np
 
 import qatforge as qf
 from qatforge import fixedpoint as fx
-from qatforge.nn import max_pool
+
+
+class Trace(fx._Engine):
+    """infer's own engine, printing at each junction the accumulator range
+    the requantizer reads (after the layers between, such as a max-pool) and
+    the codes it passes on, and at the end the final accumulator's range."""
+
+    def __init__(self, model):
+        super().__init__(model, shift=False)
+        self.kinds = [layer.kind for layer in model.layers]
+        self.at = [i for i, layer in enumerate(model.layers) if layer.params]
+
+    def activation(self, idx, x):
+        codes = super().activation(idx, x)
+        self.show(idx, x, f"-> codes {codes.min():.0f}..{codes.max():.0f}")
+        return codes
+
+    def logits(self, acc):
+        self.show(len(self.at) - 1, acc, f"(final, scale {self.params[-1].logit_scale:.2e})")
+        return super().logits(acc)
+
+    def show(self, idx, acc, tail):
+        start, stop = self.at[idx], (self.at[1:] + [len(self.kinds)])[idx]
+        path = " > ".join(self.kinds[start:stop])
+        dtype = self.arrays[idx][0].dtype.name
+        print(f"  {start}: {path:24} {dtype:7} acc {acc.min():>9.0f}..{acc.max():<9.0f} {tail}")
 
 
 def main():
@@ -38,28 +64,7 @@ def main():
     print(f"input codes {x.min()}..{x.max()} "
           f"(scale {model.input_scale:.6f})")
 
-    # replay the engine's own steps to expose the intermediate integers; the
-    # engine keeps maps NHWC, and pools before it requantizes, which gives
-    # the same codes because the rescale is monotone
-    x = x.transpose(0, 2, 3, 1)
-    kernels = iter(fx._kernels(model))
-    for i, layer in enumerate(model.layers):
-        if layer.params:
-            kernel = next(kernels)
-            acc = fx._mac(x, layer, kernel)
-            head = (f"  {i}: {layer.kind:4} {np.dtype(kernel[0]).name:7} acc "
-                    f"{acc.min():>9.0f}..{acc.max():<9.0f}")
-            if layer.act_bits:
-                x = fx._requant_mult(acc, layer)
-                print(f"{head} -> requant codes {x.min():.0f}..{x.max():.0f}")
-            else:
-                print(f"{head} (final, scale {layer.logit_scale:.2e})")
-                logits = acc
-        elif layer.kind == "maxpool":
-            x = max_pool(x, layer.size)
-            print(f"  {i}: maxpool              -> codes {x.min():.0f}..{x.max():.0f}")
-        elif layer.kind == "flatten":
-            x = fx._flatten_int(x)
+    logits = Trace(model)(x)
 
     pred = int(np.argmax(logits))
     ref = qf.simulate_float(model, image)

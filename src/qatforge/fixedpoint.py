@@ -25,11 +25,12 @@ layer whose bound exceeds 2^31 - 1. The multiply-accumulate is exact
 integer arithmetic, carried out in any arithmetic the bound proves exact:
 every partial sum is an integer no larger than the bound, so a float32 GEMM
 is exact below 2^24 and a float64 GEMM below 2^53, and both run on BLAS.
-int64 is left for wider hand-built layers. infer, infer_shift,
-simulate_float and predict take a model and its images, which encode_input
-refuses unless they are integer codes within input_bits. Each call casts
-and permutes the weights once, then runs the images in tiles of TILE (64),
-whose columns and accumulators stay cache-sized.
+int64 is left for wider hand-built layers. infer and infer_shift run the
+model's nn layers on its codes through Network.forward, the loop of training
+and simulate_float. infer, infer_shift, simulate_float and predict take a
+model and its images, which encode_input refuses unless they are integer
+codes within input_bits. Each call casts the weights once, then runs the
+images in tiles of TILE (64), whose columns and accumulators stay cache-sized.
 
 The bit plan (LayerBits), the scales (ScaleState), the input-step and
 bias-grid rule and the quantizer tap (QuantTap) also live here, below
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quantizers as qz
-from .nn import Conv2d, Flatten, Linear, MaxPool2d, Network, ReLU, fan_in, im2col, max_pool
+from .nn import Conv2d, Flatten, Linear, MaxPool2d, Network, ReLU, fan_in
 
 INT32_MAX = 2**31 - 1
 MAGIC = b"FXPM"
@@ -279,9 +280,14 @@ class FixedPointModel:
 
     def to_network(self):
         """A float network carrying the exact dequantized values."""
+        return self._network((l.weights(), l.biases()) for l in self.param_layers)
+
+    def _network(self, arrays):
+        """The nn network of the layer records, its parameter layers holding
+        the (W, b) pairs of arrays; to_network and the engine build here."""
         net = Network(_RECORDS[l.kind][2](*l.geometry) for l in self.layers)
-        for src, dst in zip(self.param_layers, net.param_layers):
-            dst.W, dst.b = src.weights(), src.biases()
+        for layer, (w, b) in zip(net.param_layers, arrays):
+            layer.W, layer.b = w, b
         return net
 
 
@@ -392,41 +398,6 @@ def _acc_dtype(bound):
     return np.float32 if bound < 2**24 else np.float64 if bound < 2**53 else np.int64
 
 
-def _kernels(model: FixedPointModel):
-    """Per parameter layer, once per call: the dtype its accumulator_bound
-    proves exact (on input_bits wide codes, then each layer's act_bits),
-    its codes as an (inputs, outputs) matrix in that dtype, and its bias
-    codes in that dtype. Conv codes are permuted to the (kh, kw, c) order of
-    im2col's columns; an exact sum does not depend on the order."""
-    out, in_bits = [], model.input_bits
-    for fx in model.param_layers:
-        dtype = _acc_dtype(accumulator_bound(fx, in_bits))
-        w = fx.codes.transpose(0, 2, 3, 1) if fx.kind == "conv" else fx.codes
-        w = w.reshape(len(fx.bias_codes), -1).T.astype(dtype)
-        out.append((dtype, w, fx.bias_codes.astype(dtype)))
-        in_bits = fx.act_bits
-    return out
-
-
-def _mac(x, fx: FxLayer, kernel):
-    """The one multiply-accumulate of the engine: x @ w + bias in the dtype
-    of the layer's _kernels entry (BLAS for the float types, numpy's loop
-    for int64), on rows for fc, and on im2col's columns of an NHWC map for
-    conv, whose accumulator comes back as an NHWC map."""
-    dtype, w, bias = kernel
-    rows = x.astype(dtype, copy=False)
-    if fx.kind == "conv":
-        rows, ho, wo = im2col(rows, fx.ksize, fx.stride, fx.pad)
-    acc = rows @ w
-    acc += bias
-    return acc.reshape(x.shape[0], ho, wo, -1) if fx.kind == "conv" else acc
-
-
-def _flatten_int(x):
-    """Rows in NCHW order, the order of the fc weights."""
-    return (x.transpose(0, 3, 1, 2) if x.ndim == 4 else x).reshape(x.shape[0], -1)
-
-
 def _requant_mult(acc, fx: FxLayer):
     """clip(round_half_away(acc * multiplier), 0, 2^m - 1) in float64, as
     floor(max(y, 0) + 0.5) in place: the two agree once y >= 0."""
@@ -450,36 +421,44 @@ def _requant_shift(acc, fx: FxLayer):
     return np.minimum(v, 2**fx.act_bits - 1, out=v)
 
 
-def _run_int(model: FixedPointModel, kernels, codes, shift):
-    """One batch, NHWC inside, each parameter layer a _mac on its _kernels
-    entry. A requantization waits past the max-pools after it: the
-    rescale is monotone, so the codes are the same, and fewer values are
-    rescaled. shift, the only difference of infer_shift, picks the rescale."""
-    x = codes.transpose(0, 2, 3, 1) if codes.ndim == 4 else codes
-    pending, logits, params = None, None, iter(kernels)
-    for i, fx in enumerate(model.layers):
-        if fx.kind == "maxpool":
-            x = max_pool(x, fx.size)
-            continue
-        if pending is not None:
-            x = (_requant_shift if shift else _requant_mult)(x, pending)
-            pending = None
-        if fx.params:
-            if logits is not None:
+class _Engine:
+    """The integer engine, called on a tile of codes: the model's nn layers
+    on each parameter layer's codes, in the dtype its accumulator_bound
+    proves exact (on input_bits wide codes, then each layer's act_bits; an
+    exact sum does not depend on its order), through this tap. weights
+    passes the codes through; activation requantizes parameter layer idx's
+    accumulator where the next one reads it, after any max-pool and ReLU,
+    which gives the same codes: the rescale is monotone and clips at 0.
+    shift, the only difference of infer_shift, picks the rescale."""
+
+    def __init__(self, model: FixedPointModel, shift):
+        self.model, self.params, self.shift = model, model.param_layers, shift
+        self.arrays, in_bits = [], model.input_bits
+        for i, fx in enumerate(model.layers):
+            if fx.params and self.arrays and not in_bits:
                 raise ValueError(f"layer {i} follows the final, unrequantized layer")
-            acc = _mac(x, fx, next(params))
-            if fx.act_bits:
-                x, pending = acc, fx
-            else:
-                y = acc.astype(np.float64)
-                logits = np.ldexp(y, -fx.shift) if shift else y * fx.logit_scale
-        elif fx.kind == "relu":
-            x = np.maximum(x, 0)
-        elif fx.kind == "flatten":
-            x = _flatten_int(x)
-    if logits is None:
-        raise ValueError("model has no final parameter layer")
-    return logits.transpose(0, 3, 1, 2) if logits.ndim == 4 else logits
+            if fx.params:
+                dtype = _acc_dtype(accumulator_bound(fx, in_bits))
+                self.arrays.append((fx.codes.astype(dtype), fx.bias_codes.astype(dtype)))
+                in_bits = fx.act_bits
+        if in_bits:
+            raise ValueError("model has no final parameter layer")
+
+    def __call__(self, codes):
+        """A network of its own per tile: the caches it keeps for a backward
+        die with the tile, and the next tile reuses their memory."""
+        return self.logits(self.model._network(self.arrays).forward(codes, self))
+
+    def weights(self, idx, w, b):
+        return w, b
+
+    def activation(self, idx, x):
+        return (_requant_shift if self.shift else _requant_mult)(x, self.params[idx])
+
+    def logits(self, acc):
+        """The real logits of the final layer's accumulator, in float64."""
+        fx, y = self.params[-1], acc.astype(np.float64)
+        return np.ldexp(y, -fx.shift) if self.shift else y * fx.logit_scale
 
 
 def _tiles(run, x, model: FixedPointModel):
@@ -493,8 +472,7 @@ def _tiles(run, x, model: FixedPointModel):
 
 def _infer(model: FixedPointModel, images, shift):
     codes = encode_input(images, model)
-    kernels = _kernels(model)
-    return _tiles(lambda c: _run_int(model, kernels, c, shift), codes, model)
+    return _tiles(_Engine(model, shift), codes, model)
 
 
 def infer(model: FixedPointModel, images):

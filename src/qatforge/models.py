@@ -32,11 +32,13 @@ def net_spec(net):
 
 
 def net_from_spec(spec, rng=None):
-    """The network of a spec; an unknown kind (from disk) is a ValueError."""
+    """The network of a spec; a bad kind or value count (from disk) is a ValueError."""
     layers = []
     for kind, *args in spec:
         cls = _KINDS.get(kind) if isinstance(kind, str) else None
         if cls is None:
             raise ValueError(f"unknown layer kind {kind!r}")
+        if len(args) != len(cls.fields):
+            raise ValueError(f"layer kind {kind!r} takes {len(cls.fields)} values, not {len(args)}")
         layers.append(cls(*map(int, args), **({"rng": rng} if cls.params else {})))
     return Network(layers)

@@ -8,8 +8,8 @@ masters keep receiving updates, and it owns the straight-through backward
 rule at the activation junctions. Linear weights are (out, in), conv
 weights (out, in, kh, kw); fan_in counts all dimensions but the first.
 Training keeps everything float64; Conv2d and Linear compute in the dtype of
-the weights they are given, casting their input to it, which lets
-fixedpoint.simulate_float run a network whose weights it cast to float32.
+the weights they are given, casting their input to it, and ReLU keeps its
+input's dtype: fixedpoint runs them in float32 and on its exact codes.
 
 Each layer class declares its spec name (kind), its geometry attributes in
 constructor order (fields) and whether it has weights (params); the specs of
@@ -27,8 +27,8 @@ the weights permuted to (out, kh, kw, in); one-channel maps, like a first
 layer's, get their columns from k*k slab copies. The input gradient is one
 GEMM against the same permuted kernel and k*k strided slab adds, which is
 exact for the integer-divisible geometries forward enforces. Max-pooling is
-a running maximum of strided views. fixedpoint's integer engine runs the same
-im2col and max_pool on its NHWC codes.
+a running maximum of strided views. fixedpoint's integer engine runs these
+same layers on its codes, through a tap that requantizes each junction.
 """
 
 from __future__ import annotations
@@ -113,6 +113,7 @@ class Conv2d:
                 f"conv input {hp}x{wp} not divisible by kernel {k} stride {s}"
             )
         x = x.astype(w.dtype, copy=False)
+        self._cols = None  # frees the last batch's columns before the next are built
         cols, ho, wo = im2col(x.transpose(0, 2, 3, 1), k, s, p)
         self._cols = cols
         self._wk = w.transpose(0, 2, 3, 1).reshape(self.out_ch, -1)
@@ -179,7 +180,7 @@ class ReLU:
 
     def forward(self, x):
         self._pass = x > 0  # gradient at exactly 0 is 0
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0)  # in x's dtype: an int64 accumulator stays exact
 
     def backward(self, gy):
         return gy * self._pass

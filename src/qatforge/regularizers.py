@@ -151,14 +151,13 @@ def prune_threshold(weights, ratio):
 
 
 def prune_masks(weights, ratio):
-    """Per-layer keep-masks that drop exactly ceil(ratio * N) of the pooled
-    weights, the k smallest magnitudes of prune_threshold. Ties go by
-    position (a stable rank), so ties at the threshold never prune more."""
-    if not 0.0 <= ratio < 1.0:
-        raise ValueError(f"prune ratio must lie in [0, 1), got {ratio}")
+    """Per-layer keep-masks that drop exactly k = ceil(ratio * N) of the
+    pooled weights: every |w| below prune_threshold's theta, then the first
+    ties at theta by position (a stable rank), so ties never prune more."""
+    theta = prune_threshold(weights, ratio)
     mags = np.concatenate([np.abs(np.asarray(w)).ravel() for w in weights])
-    keep = np.ones(mags.size, dtype=bool)
-    keep[np.argsort(mags, kind="stable")[: math.ceil(ratio * mags.size)]] = False
+    keep, ties = mags > theta, np.flatnonzero(mags == theta)
+    keep[ties[math.ceil(ratio * mags.size) - np.count_nonzero(mags < theta) :]] = True
     ends = np.cumsum([np.size(w) for w in weights])[:-1]
     return [m.reshape(np.shape(w)) for w, m in zip(weights, np.split(keep, ends))]
 

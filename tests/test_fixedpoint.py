@@ -505,6 +505,22 @@ def test_int64_regime_matches_oracle():
     assert fx.infer(model, codes).tobytes() == oracles.int64_forward(model, codes).tobytes()
 
 
+def test_relu_keeps_an_int64_accumulator_exact():
+    # fc(1 -> 1) - relu - fc, bound past 2^53: the ReLU between the int64
+    # accumulator and its shift requantizer must not round it through
+    # float64, where 2^53 + 2^37 - 1 becomes 2^53 + 2^37 and the code 2^15 + 1
+    first = _fc_layer([[1]], [2**53 + 2**37 - 2], 2, 16, 1.0, 1.0, 2.0**38)
+    first.shift = 38
+    final = _fc_layer([[1]], [0], 2, 0, 2.0**-38, 2.0**38, 0.0)
+    final.shift = 0
+    model = fx.FixedPointModel(1.0, 1, [first, fx.FxLayer(kind="relu"), final], shift_only=True)
+    assert _layer_dtypes(model, 1) == [np.int64, np.float32]
+    codes = np.array([[0], [1]])
+    got = fx.infer_shift(model, codes)
+    assert got.tobytes() == oracles.int64_forward(model, codes, shift=True).tobytes()
+    assert got.tolist() == [[2.0**15], [2.0**15]]
+
+
 def _rail_model(kind, target, wbits, in_bits):
     """One final layer whose bound is exactly target, reached by every output
     when every weight code is -2^(n-1) and every input code 2^m - 1."""
@@ -618,6 +634,15 @@ def test_infer_refuses_a_layer_after_the_final_one():
     model.layers[1].act_bits = 0
     with pytest.raises(ValueError, match="layer 2 follows the final, unrequantized layer"):
         fx.infer(model, codes)
+
+
+def test_infer_refuses_a_model_with_no_final_layer():
+    # the layer walk is checked before any tile runs, so no image is needed
+    model = _fc_16_8_8_5()
+    model.layers[2].act_bits = 4
+    for n in (4, 0):
+        with pytest.raises(ValueError, match="model has no final parameter layer"):
+            fx.infer(model, np.zeros((n, 16), dtype=np.int64))
 
 
 @pytest.mark.parametrize(

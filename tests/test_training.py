@@ -329,6 +329,25 @@ def test_prune_masks_break_ties_by_position():
         rg.prune_masks(layers, 1.0)
 
 
+def test_prune_masks_equal_the_stable_argsort_rule():
+    # the first ceil(ratio * N) magnitudes of a stable argsort go, at every
+    # k, on tie-heavy layers (float64 and float32)
+    rng = np.random.default_rng(21)
+    for trial in range(12):
+        levels = rng.choice([0.0, 0.25, -0.25, 0.5, -1.0, 2.0], size=rng.integers(2, 6))
+        layers = [rng.choice(levels, shape) for shape in [(4, 5), (13,), (2, 3, 2)]]
+        if trial % 2:
+            layers = [w.astype(np.float32) for w in layers]
+        mags = np.concatenate([np.abs(w).ravel() for w in layers])
+        for k in range(mags.size):
+            ratio = max(k - 0.5, 0.0) / mags.size  # ceil(ratio * N) == k
+            keep = np.ones(mags.size, dtype=bool)
+            keep[np.argsort(mags, kind="stable")[:k]] = False
+            masks = rg.prune_masks(layers, ratio)
+            assert [m.shape for m in masks] == [w.shape for w in layers]
+            assert np.array_equal(np.concatenate([m.ravel() for m in masks]), keep)
+
+
 def test_prune_then_qat_composition():
     rng = np.random.default_rng(7)
     data = _toy_data(rng)
@@ -392,6 +411,12 @@ def test_net_from_spec_refuses_an_unknown_kind():
         net_from_spec([["flatten"], ["dense", 64, 4]])
     with pytest.raises(ValueError, match="unknown layer kind"):
         net_from_spec([[["linear"], 64, 4]])
+    # a value count that is not the class's fields is refused the same way
+    for entry, match in [(["conv", 1], "'conv' takes 5 values, not 1"),
+                         (["relu", 1], "'relu' takes 0 values, not 1"),
+                         (["linear", 64, 4, 1], "'linear' takes 2 values, not 3")]:
+        with pytest.raises(ValueError, match=match):
+            net_from_spec([entry])
 
 
 def test_cost_functions():
