@@ -42,7 +42,7 @@ class Trace(fx._Engine):
     def show(self, idx, acc, tail):
         start, stop = self.at[idx], (self.at[1:] + [len(self.kinds)])[idx]
         path = " > ".join(self.kinds[start:stop])
-        dtype = self.arrays[idx][0].dtype.name
+        dtype = self.net.param_layers[idx].W.dtype.name
         print(f"  {start}: {path:24} {dtype:7} acc {acc.min():>9.0f}..{acc.max():<9.0f} {tail}")
 
 

@@ -29,8 +29,8 @@ int64 is left for wider hand-built layers. infer and infer_shift run the
 model's nn layers on its codes through Network.forward, the loop of training
 and simulate_float. infer, infer_shift, simulate_float and predict take a
 model and its images, which encode_input refuses unless they are integer
-codes within input_bits. Each call casts the weights once, then runs the
-images in tiles of TILE (64), whose columns and accumulators stay cache-sized.
+codes within input_bits. Each call builds one network on weights cast
+once and runs it on tiles of TILE (64) images, whose columns stay cache-sized.
 
 The bit plan (LayerBits), the scales (ScaleState), the input-step and
 bias-grid rule and the quantizer tap (QuantTap) also live here, below
@@ -422,32 +422,32 @@ def _requant_shift(acc, fx: FxLayer):
 
 
 class _Engine:
-    """The integer engine, called on a tile of codes: the model's nn layers
-    on each parameter layer's codes, in the dtype its accumulator_bound
-    proves exact (on input_bits wide codes, then each layer's act_bits; an
-    exact sum does not depend on its order), through this tap. weights
+    """The integer engine of one infer or infer_shift call, called on each
+    tile of codes: one network of the model's nn layers on each parameter
+    layer's codes, in the dtype its accumulator_bound proves exact (on
+    input_bits wide codes, then each layer's act_bits; an exact sum does
+    not depend on its order), through this tap. weights
     passes the codes through; activation requantizes parameter layer idx's
     accumulator where the next one reads it, after any max-pool and ReLU,
     which gives the same codes: the rescale is monotone and clips at 0.
     shift, the only difference of infer_shift, picks the rescale."""
 
     def __init__(self, model: FixedPointModel, shift):
-        self.model, self.params, self.shift = model, model.param_layers, shift
-        self.arrays, in_bits = [], model.input_bits
+        self.params, self.shift = model.param_layers, shift
+        arrays, in_bits = [], model.input_bits
         for i, fx in enumerate(model.layers):
-            if fx.params and self.arrays and not in_bits:
+            if fx.params and arrays and not in_bits:
                 raise ValueError(f"layer {i} follows the final, unrequantized layer")
             if fx.params:
                 dtype = _acc_dtype(accumulator_bound(fx, in_bits))
-                self.arrays.append((fx.codes.astype(dtype), fx.bias_codes.astype(dtype)))
+                arrays.append((fx.codes.astype(dtype), fx.bias_codes.astype(dtype)))
                 in_bits = fx.act_bits
         if in_bits:
             raise ValueError("model has no final parameter layer")
+        self.net = model._network(arrays)
 
     def __call__(self, codes):
-        """A network of its own per tile: the caches it keeps for a backward
-        die with the tile, and the next tile reuses their memory."""
-        return self.logits(self.model._network(self.arrays).forward(codes, self))
+        return self.logits(self.net.forward(codes, self)[0])
 
     def weights(self, idx, w, b):
         return w, b
@@ -530,7 +530,7 @@ def simulate_float(model: FixedPointModel, images):
     accumulators, also for scales that are not powers of two, so the argmax
     can differ from infer's only where infer's logits tie exactly. It reads
     the same input codes as infer, through encode_input. Tiles of TILE
-    images bound the columns the conv layers keep; the float64 sums can
+    images bound the columns of each conv forward; the float64 sums can
     round differently for another tile size."""
     params = model.param_layers
     tap = QuantTap(
@@ -547,7 +547,7 @@ def simulate_float(model: FixedPointModel, images):
     for layer in net.param_layers:
         layer.W, layer.b = layer.W.astype(dtype, copy=False), layer.b.astype(dtype, copy=False)
     x = codes.astype(dtype) * dtype(model.input_scale)
-    return _tiles(lambda t: net.forward(t, tap), x, model)
+    return _tiles(lambda t: net.forward(t, tap)[0], x, model)
 
 
 def predict(model: FixedPointModel, images, shift=False):

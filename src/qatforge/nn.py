@@ -1,9 +1,12 @@
 """Minimal dense network layers with reverse-mode gradients.
 
-Layers own their parameters as float64 arrays and cache whatever backward
-needs during forward. A Network chains layers and optionally routes
-parameters and inter-layer activations through a tap (see fixedpoint.QuantTap):
-the tap may substitute quantized copies for the forward pass while the float
+Layers own their parameters as float64 arrays, and the gradients backward
+leaves in gW and gb, and nothing else: forward returns its output and the
+cache its backward needs, and backward takes that cache back. A forward
+whose backward never runs leaves nothing behind once its caller drops the
+cache. A Network chains layers and optionally routes parameters and
+inter-layer activations through a tap (see fixedpoint.QuantTap): the tap
+may substitute quantized copies for the forward pass while the float
 masters keep receiving updates, and it owns the straight-through backward
 rule at the activation junctions. Linear weights are (out, in), conv
 weights (out, in, kh, kw); fan_in counts all dimensions but the first.
@@ -113,20 +116,19 @@ class Conv2d:
                 f"conv input {hp}x{wp} not divisible by kernel {k} stride {s}"
             )
         x = x.astype(w.dtype, copy=False)
-        self._cols = None  # frees the last batch's columns before the next are built
         cols, ho, wo = im2col(x.transpose(0, 2, 3, 1), k, s, p)
-        self._cols = cols
-        self._wk = w.transpose(0, 2, 3, 1).reshape(self.out_ch, -1)
-        self._padded = (n, hp, wp, c)
-        y = cols @ self._wk.T
+        wk = w.transpose(0, 2, 3, 1).reshape(self.out_ch, -1)
+        y = cols @ wk.T
         y += b
-        return y.reshape(n, ho, wo, self.out_ch).transpose(0, 3, 1, 2)
+        y = y.reshape(n, ho, wo, self.out_ch).transpose(0, 3, 1, 2)
+        return y, (cols, wk, (n, hp, wp, c))
 
-    def backward(self, gy, need_input_grad=True):
+    def backward(self, gy, cache, need_input_grad=True):
+        cols, wk, padded = cache
         n, oc, ho, wo = gy.shape
         k, c = self.ksize, self.in_ch
         gyf = gy.transpose(0, 2, 3, 1).reshape(-1, oc)
-        gw = (gyf.T @ self._cols).reshape(oc, k, k, c)
+        gw = (gyf.T @ cols).reshape(oc, k, k, c)
         self.gW = np.ascontiguousarray(gw.transpose(0, 3, 1, 2))
         self.gb = gyf.sum(axis=0)
         if not need_input_grad:
@@ -135,8 +137,8 @@ class Conv2d:
         # k*k offset slabs; cheaper than a flipped-kernel correlation, which
         # builds a far larger im2col
         s, p = self.stride, self.pad
-        g = (gyf @ self._wk).reshape(n, ho, wo, k, k, c)
-        gx = np.zeros(self._padded)
+        g = (gyf @ wk).reshape(n, ho, wo, k, k, c)
+        gx = np.zeros(padded)
         hs = (ho - 1) * s + 1
         ws = (wo - 1) * s + 1
         for i in range(k):
@@ -161,16 +163,15 @@ class Linear:
 
     def forward(self, x, w, b):
         x = x.astype(w.dtype, copy=False)
-        self._x = x
-        self._w_run = w
-        return x @ w.T + b
+        return x @ w.T + b, (x, w)
 
-    def backward(self, gy, need_input_grad=True):
-        self.gW = gy.T @ self._x
+    def backward(self, gy, cache, need_input_grad=True):
+        x, w = cache
+        self.gW = gy.T @ x
         self.gb = gy.sum(axis=0)
         if not need_input_grad:
             return None
-        return gy @ self._w_run
+        return gy @ w
 
 
 class ReLU:
@@ -179,11 +180,11 @@ class ReLU:
     params = False
 
     def forward(self, x):
-        self._pass = x > 0  # gradient at exactly 0 is 0
-        return np.maximum(x, 0)  # in x's dtype: an int64 accumulator stays exact
+        y = np.maximum(x, 0)  # in x's dtype: an int64 accumulator stays exact
+        return y, y
 
-    def backward(self, gy):
-        return gy * self._pass
+    def backward(self, gy, y):
+        return gy * (y > 0)  # gradient at exactly 0 is 0
 
 
 class MaxPool2d:
@@ -199,24 +200,24 @@ class MaxPool2d:
         self.size = size
 
     def forward(self, x):
-        self._in_shape = x.shape  # perfbench names a pool call by its channels
-        self._x = x.transpose(0, 2, 3, 1)
-        self._y = max_pool(self._x, self.size)
-        return self._y.transpose(0, 3, 1, 2)
+        x = x.transpose(0, 2, 3, 1)
+        y = max_pool(x, self.size)
+        return y.transpose(0, 3, 1, 2), (x, y)
 
-    def backward(self, gy):
+    def backward(self, gy, cache):
+        x, y = cache
         k = self.size
-        n, h, w, c = self._x.shape
-        v = self._x.reshape(n, h // k, k, w // k, k, c)
+        n, h, w, c = x.shape
+        v = x.reshape(n, h // k, k, w // k, k, c)
         # every element of gx is written once, as gradient bits times a 0/1
         # hit; on the int64 view a miss writes +0.0, where a float product
         # would leave -0.0 under a negative gradient
         g = np.asarray(gy, dtype=np.float64).transpose(0, 2, 3, 1).view(np.int64)
         gx = np.empty((n, h, w, c))
         gv = gx.view(np.int64).reshape(v.shape)
-        free = np.ones(self._y.shape, dtype=bool)  # window not yet routed
+        free = np.ones(y.shape, dtype=bool)  # window not yet routed
         for i in range(k * k):
-            hit = v[:, :, i // k, :, i % k] == self._y
+            hit = v[:, :, i // k, :, i % k] == y
             hit &= free
             free ^= hit
             np.multiply(g, hit, out=gv[:, :, i // k, :, i % k])
@@ -229,34 +230,32 @@ class Flatten:
     params = False
 
     def forward(self, x):
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, gy):
-        return gy.reshape(self._shape)
+    def backward(self, gy, shape):
+        return gy.reshape(shape)
 
 
 class Network:
     """An ordered chain of layers.
 
-    forward(x, tap) is pure with respect to parameters: when a tap is given,
-    each parameter layer runs on tap.weights(idx, W, b) and the input of
-    every parameter layer after the first passes through
-    tap.activation(idx - 1, x). backward walks the layers in reverse,
-    invoking tap.activation_backward at the same junctions.
+    forward(x, tap) returns (y, caches), one cache per layer, and sets no
+    attribute: when a tap is given, each parameter layer runs on
+    tap.weights(idx, W, b) and the input of every parameter layer after the
+    first passes through tap.activation(idx - 1, x). backward(gout, caches,
+    tap) walks the layers in reverse, invoking tap.activation_backward at
+    the same junctions, and leaves the parameter gradients in gW and gb.
     """
 
     def __init__(self, layers):
         self.layers = list(layers)
-        self._tap = None
-        self._ran = False
 
     @property
     def param_layers(self):
         return [l for l in self.layers if l.params]
 
     def forward(self, x, tap=None):
-        pi = 0
+        caches, pi = [], 0
         for layer in self.layers:
             if layer.params:
                 if tap is not None:
@@ -265,26 +264,24 @@ class Network:
                     w, b = tap.weights(pi, layer.W, layer.b)
                 else:
                     w, b = layer.W, layer.b
-                x = layer.forward(x, w, b)
+                x, cache = layer.forward(x, w, b)
                 pi += 1
             else:
-                x = layer.forward(x)
-        self._tap, self._ran = tap, True
-        return x
+                x, cache = layer.forward(x)
+            caches.append(cache)
+        return x, caches
 
-    def backward(self, gout):
-        if not self._ran:
-            raise RuntimeError("backward called before forward")
+    def backward(self, gout, caches, tap=None):
         g, pi = gout, len(self.param_layers)
         for i, layer in reversed(list(enumerate(self.layers))):
             if layer.params:
                 # the input gradient of the earliest layer feeds nothing
-                g = layer.backward(g, need_input_grad=i > 0)
+                g = layer.backward(g, caches[i], need_input_grad=i > 0)
                 pi -= 1
-                if pi > 0 and self._tap is not None:
-                    g = self._tap.activation_backward(pi - 1, g)
+                if pi > 0 and tap is not None:
+                    g = tap.activation_backward(pi - 1, g)
             else:
-                g = layer.backward(g)
+                g = layer.backward(g, caches[i])
         return g
 
 

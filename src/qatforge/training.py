@@ -92,8 +92,8 @@ class TrainConfig:
         if self.mode in ("prune", "prune_then_qat"):
             if not 0.0 <= self.prune_ratio < 1.0:
                 raise ValueError("prune_ratio must lie in [0, 1)")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
+        if min(self.epochs, self.batch_size, self.eval_batch) < 1:
+            raise ValueError("epochs, batch_size and eval_batch must be positive")
         return self
 
     def resolved_input_scale(self):
@@ -290,9 +290,8 @@ def evaluate(net, images, labels, input_scale, tap=None, batch=1000):
     """Top-1 accuracy; deterministic, pure."""
     correct = 0
     for start in range(0, images.shape[0], batch):
-        x = images[start : start + batch].astype(np.float64) * input_scale
-        x = x.reshape(x.shape[0], 1, x.shape[1], x.shape[2])
-        logits = net.forward(x, tap)
+        x = _prep(images[start : start + batch]).astype(np.float64) * input_scale
+        logits = net.forward(x, tap)[0]
         correct += int(np.sum(np.argmax(logits, axis=1) == labels[start : start + batch]))
     return correct / images.shape[0]
 
@@ -358,6 +357,9 @@ def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
     t0 = time.perf_counter()
     train_x, train_y = _prep(data.train_images), data.train_labels.astype(np.int64)
     test_x, test_y = data.test_images, data.test_labels.astype(np.int64)
+    if len(train_x) < cfg.batch_size or not len(test_x):
+        raise ValueError(f"{len(train_x)} train and {len(test_x)} test images: a run needs "
+                         f"one batch of {cfg.batch_size} and one test image")
     params = net.param_layers
     plan = quant_plan(len(params), cfg)
     quantized = any(p.weights is not None or p.acts is not None for p in plan)
@@ -408,11 +410,12 @@ def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
             x = train_x[idx].astype(np.float64) * input_scale
             y = train_y[idx]
             tap = QuantTap(plan, scales) if quantized else None
-            logits = net.forward(x, tap)
+            logits, caches = net.forward(x, tap)
             task, dlogits = softmax_xent(logits, y)
             if not np.isfinite(task):
                 raise RuntimeError(f"non-finite task loss at iteration {it}")
-            net.backward(dlogits)
+            net.backward(dlogits, caches, tap)
+            del caches  # freed before the next forward builds its own
 
             lam = reg.lam
             if prune:

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from qatforge import nn
 from qatforge import quantizers as qz
+from qatforge.fixedpoint import LayerBits, QuantTap, ScaleState
 
 
 def _fd_grad(f, x, h=1e-6):
@@ -33,7 +34,7 @@ def test_conv_forward_matches_loop(stride, pad, h, w):
     x = rng.normal(0, 1, (2, 3, h, w))
     layer = nn.Conv2d(3, 4, 3, stride=stride, pad=pad, rng=rng)
     want = oracles.loop_conv2d(x, layer.W, layer.b, stride=stride, pad=pad)
-    got = layer.forward(x, layer.W, layer.b)
+    got, _ = layer.forward(x, layer.W, layer.b)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -43,13 +44,13 @@ def test_conv_backward_matches_fd(stride, pad):
     rng = np.random.default_rng(1)
     x = rng.normal(0, 1, (2, 3, 7, 7))
     layer = nn.Conv2d(3, 4, 3, stride=stride, pad=pad, rng=rng)
-    r = rng.normal(0, 1, layer.forward(x, layer.W, layer.b).shape)
+    y, cache = layer.forward(x, layer.W, layer.b)
+    r = rng.normal(0, 1, y.shape)
 
     def loss():
-        return float(np.sum(layer.forward(x, layer.W, layer.b) * r))
+        return float(np.sum(layer.forward(x, layer.W, layer.b)[0] * r))
 
-    layer.forward(x, layer.W, layer.b)
-    gx = layer.backward(r)
+    gx = layer.backward(r, cache)
     fd_w = _fd_grad(loss, layer.W)
     fd_b = _fd_grad(loss, layer.b)
     fd_x = _fd_grad(loss, x)
@@ -62,11 +63,10 @@ def test_conv_backward_can_skip_input_grad():
     rng = np.random.default_rng(2)
     x = rng.normal(0, 1, (2, 2, 6, 6))
     layer = nn.Conv2d(2, 3, 3, rng=rng)
-    y = layer.forward(x, layer.W, layer.b)
-    full = layer.backward(np.ones_like(y))
+    y, cache = layer.forward(x, layer.W, layer.b)
+    full = layer.backward(np.ones_like(y), cache)
     gw_full = layer.gW.copy()
-    layer.forward(x, layer.W, layer.b)
-    none = layer.backward(np.ones_like(y), need_input_grad=False)
+    none = layer.backward(np.ones_like(y), cache, need_input_grad=False)
     assert none is None
     assert full is not None
     assert np.array_equal(layer.gW, gw_full)
@@ -89,37 +89,38 @@ def test_linear_matches_fd():
     r = rng.normal(0, 1, (4, 5))
 
     def loss():
-        return float(np.sum(layer.forward(x, layer.W, layer.b) * r))
+        return float(np.sum(layer.forward(x, layer.W, layer.b)[0] * r))
 
     want = x @ layer.W.T + layer.b
-    assert np.max(np.abs(layer.forward(x, layer.W, layer.b) - want)) == 0.0
-    gx = layer.backward(r)
+    y, cache = layer.forward(x, layer.W, layer.b)
+    assert np.max(np.abs(y - want)) == 0.0
+    gx = layer.backward(r, cache)
     assert np.max(np.abs(layer.gW - _fd_grad(loss, layer.W))) <= 1e-7
     assert np.max(np.abs(layer.gb - _fd_grad(loss, layer.b))) <= 1e-7
     assert np.max(np.abs(gx - _fd_grad(loss, x))) <= 1e-7
-    assert layer.backward(r, need_input_grad=False) is None
+    assert layer.backward(r, cache, need_input_grad=False) is None
 
 
 def test_maxpool_matches_loop_and_routes_gradient():
     rng = np.random.default_rng(4)
     x = rng.normal(0, 1, (2, 3, 8, 8))
     pool = nn.MaxPool2d(2)
-    assert np.array_equal(pool.forward(x), oracles.loop_maxpool(x, 2))
+    y, cache = pool.forward(x)
+    assert np.array_equal(y, oracles.loop_maxpool(x, 2))
 
-    y = pool.forward(x)
     gy = rng.normal(0, 1, y.shape)
-    gx = pool.backward(gy)
+    gx = pool.backward(gy, cache)
     # each window's gradient lands entirely on its (first) maximum
     assert gx.shape == x.shape
-    fd = _fd_grad(lambda: float(np.sum(pool.forward(x) * gy)), x)
+    fd = _fd_grad(lambda: float(np.sum(pool.forward(x)[0] * gy)), x)
     assert np.max(np.abs(gx - fd)) <= 1e-6
 
 
 def test_maxpool_tie_goes_to_first_element():
     x = np.zeros((1, 1, 2, 2))  # all tied
     pool = nn.MaxPool2d(2)
-    pool.forward(x)
-    gx = pool.backward(np.array([[[[3.0]]]]))
+    _, cache = pool.forward(x)
+    gx = pool.backward(np.array([[[[3.0]]]]), cache)
     want = np.zeros((1, 1, 2, 2))
     want[0, 0, 0, 0] = 3.0
     assert np.array_equal(gx, want)
@@ -135,8 +136,8 @@ def test_maxpool_tie_goes_to_first_element():
     want[0, 1, 2, 0], want[0, 1, 2, 2] = gy[0, 1, 1, 0], gy[0, 1, 1, 1]
     for xin in (x, _channels_last(x)):
         for g in (gy, _channels_last(gy)):
-            pool.forward(xin)
-            gx = pool.backward(g)
+            _, cache = pool.forward(xin)
+            gx = pool.backward(g, cache)
             assert np.array_equal(gx, want)
             assert not np.signbit(gx[gx == 0]).any()  # misses are +0.0
 
@@ -149,16 +150,17 @@ def test_maxpool_rejects_indivisible():
 def test_relu_zero_gets_zero_gradient():
     relu = nn.ReLU()
     x = np.array([-1.0, 0.0, 2.0])
-    assert np.array_equal(relu.forward(x), [0.0, 0.0, 2.0])
-    assert np.array_equal(relu.backward(np.ones(3)), [0.0, 0.0, 1.0])
+    y, cache = relu.forward(x)
+    assert np.array_equal(y, [0.0, 0.0, 2.0])
+    assert np.array_equal(relu.backward(np.ones(3), cache), [0.0, 0.0, 1.0])
 
 
 def test_flatten_round_trip():
     f = nn.Flatten()
     x = np.arange(24.0).reshape(2, 3, 2, 2)
-    y = f.forward(x)
+    y, cache = f.forward(x)
     assert y.shape == (2, 12)
-    assert np.array_equal(f.backward(y), x)
+    assert np.array_equal(f.backward(y, cache), x)
 
 
 def test_softmax_xent_value_and_grad():
@@ -198,12 +200,12 @@ def test_network_end_to_end_gradcheck():
     labels = np.array([0, 1, 3])
 
     def loss():
-        logits = net.forward(x)
+        logits, _ = net.forward(x)
         return nn.softmax_xent(logits, labels)[0]
 
-    logits = net.forward(x)
+    logits, caches = net.forward(x)
     _, d = nn.softmax_xent(logits, labels)
-    net.backward(d)
+    net.backward(d, caches)
     conv, lin = net.param_layers
     assert np.max(np.abs(conv.gW - _fd_grad(loss, conv.W))) <= 1e-6
     assert np.max(np.abs(conv.gb - _fd_grad(loss, conv.b))) <= 1e-6
@@ -211,23 +213,36 @@ def test_network_end_to_end_gradcheck():
     assert np.max(np.abs(lin.gb - _fd_grad(loss, lin.b))) <= 1e-6
 
 
-def test_network_backward_requires_forward():
-    net = nn.Network([nn.Flatten()])
-    with pytest.raises(RuntimeError):
-        net.backward(np.zeros((1, 1)))
-
-
 def test_forward_does_not_mutate_inputs_or_params():
+    """forward leaves its input, the parameters and every attribute of the
+    network and its layers as they were, with or without a tap; backward
+    sets only the parameter layers' gW and gb."""
     rng = np.random.default_rng(7)
-    net = nn.Network([nn.Conv2d(1, 2, 3, rng=rng), nn.Flatten(), nn.Linear(72, 3)])
+    net = nn.Network([nn.Conv2d(1, 2, 3, rng=rng), nn.ReLU(), nn.MaxPool2d(2),
+                      nn.Flatten(), nn.Linear(18, 3, rng=rng)])
+    scales = ScaleState(np.array([0.1, 0.1]), np.array([0.25, 1.0]), 1.0)
+    tap = QuantTap([LayerBits(4, 4), LayerBits(4, None)], scales)
     x = rng.normal(0, 1, (2, 1, 8, 8))
     x0 = x.copy()
     w0 = [l.W.copy() for l in net.param_layers]
-    y = net.forward(x)
-    net.backward(np.ones_like(y))
+    objs = [net, *net.layers]
+    for t in (None, tap):
+        before = [dict(vars(o)) for o in objs]
+        y, caches = net.forward(x, t)
+        assert [_changed(b, o) for b, o in zip(before, objs)] == [set()] * len(objs)
+        net.backward(np.ones_like(y), caches, t)
+        grads = [{"gW", "gb"} if getattr(o, "params", False) else set() for o in objs]
+        assert [_changed(b, o) for b, o in zip(before, objs)] == grads
     assert np.array_equal(x, x0)
     for layer, w in zip(net.param_layers, w0):
         assert np.array_equal(layer.W, w)
+
+
+def _changed(before, obj):
+    """The names of obj's attributes added or rebound since before, a copy
+    of its vars()."""
+    now = vars(obj)
+    return {k for k in now.keys() | before.keys() if k not in now or now[k] is not before.get(k)}
 
 
 def _channels_last(x):
@@ -237,11 +252,11 @@ def _channels_last(x):
 
 def _run_layer(layer, x, gy_layout):
     if getattr(layer, "params", False):
-        y = layer.forward(x, layer.W, layer.b)
+        y, cache = layer.forward(x, layer.W, layer.b)
     else:
-        y = layer.forward(x)
+        y, cache = layer.forward(x)
     gy = np.random.default_rng(9).normal(0, 1, y.shape)
-    gx = layer.backward(gy_layout(gy) if gy.ndim == 4 else gy)
+    gx = layer.backward(gy_layout(gy) if gy.ndim == 4 else gy, cache)
     grads = (layer.gW, layer.gb) if getattr(layer, "params", False) else ()
     return y, gx, grads
 
@@ -276,13 +291,13 @@ def test_feature_maps_stay_channels_last():
     conv = nn.Conv2d(3, 4, 3, rng=rng)
     pool = nn.MaxPool2d(2)
     x = rng.normal(0, 1, (2, 3, 10, 10))
-    y = conv.forward(x, conv.W, conv.b)
-    p = pool.forward(y)
-    maps = [y, p, nn.ReLU().forward(y), qz.quantize_unsigned(p, 0.25, 4),
+    y, conv_cache = conv.forward(x, conv.W, conv.b)
+    p, pool_cache = pool.forward(y)
+    maps = [y, p, nn.ReLU().forward(y)[0], qz.quantize_unsigned(p, 0.25, 4),
             qz.ste_activation_passmask(p, 0.25, 4)]
     gy = np.ones(p.shape)
-    g_pool = pool.backward(gy)
-    maps += [g_pool, conv.backward(g_pool)]
+    g_pool = pool.backward(gy, pool_cache)
+    maps += [g_pool, conv.backward(g_pool, conv_cache)]
     for m in maps:
         assert m.shape[1] in (3, 4)
         assert m.transpose(0, 2, 3, 1).flags.c_contiguous

@@ -3,18 +3,21 @@ determinism, stage composition, and checkpoints."""
 
 import math
 import os
+import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qatforge as qf
+from qatforge import mnist
 from qatforge import quantizers as qz
 from qatforge import regularizers as rg
 from qatforge import training as tr
-from qatforge.models import net_from_spec
+from qatforge.models import build_lenet, net_from_spec
 
 
 def _toy_data(rng, n_train=256, n_test=128, size=8, classes=4):
@@ -85,6 +88,8 @@ def test_config_validation_and_round_trip():
         _cfg(mode="prune", prune_ratio=1.0).validate()
     with pytest.raises(ValueError):
         _cfg(epochs=0).validate()
+    with pytest.raises(ValueError, match="eval_batch must be positive"):
+        _cfg(eval_batch=0).validate()
     cfg = _cfg(mode="qat_pow2", lr_schedule=((2, 0.1), (4, 0.01)))
     assert cfg.resolved_input_scale() == 1 / 256
     assert _cfg(mode="qat").resolved_input_scale() == 1 / 255
@@ -180,7 +185,7 @@ def test_quant_tap_substitutes_grid_values():
     scales = tr.ScaleState(np.array([0.1]), np.array([1.0]), 1 / 255)
     tap = tr.QuantTap(plan, scales)
     x = rng.random((5, 1, 8, 8))
-    logits = net.forward(x, tap)
+    logits, _ = net.forward(x, tap)
     layer = net.param_layers[0]
     wq = qz.quantize_signed(layer.W, 0.1, 4)
     bq = qz.snap_to_grid(layer.b, 0.1 / 255)
@@ -481,6 +486,45 @@ def test_evaluate_counts_correct_predictions():
     images = np.zeros((10, 8, 8), dtype=np.uint8)
     labels = np.array([2] * 6 + [0] * 4, dtype=np.int64)
     assert tr.evaluate(net, images, labels, 1 / 255) == 0.6
+
+
+def test_evaluate_holds_no_memory_after_it_returns():
+    # a forward leaves no backward caches on the layers, so everything
+    # evaluate allocates dies with it
+    net = build_lenet(np.random.default_rng(23))
+    images = np.random.default_rng(24).integers(0, 256, (300, 28, 28), dtype=np.uint8)
+    labels = np.zeros(300, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tr.evaluate(net, images, labels, 1 / 255)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
+
+
+@pytest.mark.parametrize("mode", ["float", "qat", "prune"])
+def test_a_train_set_smaller_than_one_batch_is_refused(mode):
+    # 32 images draw no batch of 64; the run used to fail after its first
+    # epoch on a loss term no step had set
+    data = _toy_data(np.random.default_rng(20), n_train=32, n_test=16)
+    with pytest.raises(ValueError, match="32 train and 16 test images"):
+        tr.train(_toy_net(np.random.default_rng(21)), data,
+                 _cfg(mode=mode, batch_size=64, prune_ratio=0.5))
+
+
+def test_an_empty_test_set_is_refused(tmp_path):
+    # an IDX file with count 0 loads; evaluate used to divide by that count
+    data = _toy_data(np.random.default_rng(22), n_train=64, n_test=0)
+    for name, arr in [(mnist.TRAIN_IMAGES, data.train_images), (mnist.TRAIN_LABELS, data.train_labels),
+                      (mnist.TEST_IMAGES, data.test_images), (mnist.TEST_LABELS, data.test_labels)]:
+        header = struct.pack(f">{1 + arr.ndim}i", 0x800 + arr.ndim, *arr.shape)
+        (tmp_path / name).write_bytes(header + arr.tobytes())
+    loaded = mnist.load_mnist(tmp_path)
+    assert loaded.test_images.shape == (0, 8, 8)
+    with pytest.raises(ValueError, match="64 train and 0 test images"):
+        tr.train(_toy_net(np.random.default_rng(25)), loaded, _cfg(mode="float"))
 
 
 def test_checkpoint_round_trip(tmp_path):
