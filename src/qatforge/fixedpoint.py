@@ -115,30 +115,32 @@ def bias_grid_step(plan, scales: ScaleState, idx):
 class QuantTap:
     """Routes a forward pass through the quantizers.
 
-    weights() substitutes grid values built from the float masters and caches
-    codes and quantized copies for the regularizer terms of the same step;
+    weights() substitutes grid values built from the float masters;
     activation() keeps the pre-tap values of every junction (for the
     activation MSQE, its scale gradient and init_scales' calibration) and
     quantizes those the plan gives bits; activation_backward() applies the
-    straight-through mask.
+    straight-through mask. Each quantized tensor is divided by its scale
+    once per step: the tap keeps t = x/delta and the codes of every weight
+    tensor (wt, wcode) and junction (at, acode), and the grid biases (bq),
+    and the regularizer terms and pass masks of the same step read them.
     """
 
     def __init__(self, plan, scales: ScaleState):
         self.plan = plan
         self.scales = scales
         n = len(plan)
-        self.wcode = [None] * n
-        self.bq = [None] * n
-        self.pre_acts = [None] * n
+        self.wt, self.wcode, self.bq = [None] * n, [None] * n, [None] * n
+        self.pre_acts, self.at, self.acode = [None] * n, [None] * n, [None] * n
 
     def weights(self, idx, w, b):
         bits = self.plan[idx].weights
         if bits is None:
             return w, b
         d = float(self.scales.weight_scales[idx])
-        code = qz.code_signed(w, d, bits)
+        t = qz.scaled(w, d, bits)
+        code = qz.signed_code(t, bits)
         bq = qz.snap_to_grid(b, bias_grid_step(self.plan, self.scales, idx))
-        self.wcode[idx], self.bq[idx] = code, bq
+        self.wt[idx], self.wcode[idx], self.bq[idx] = t, code, bq
         return d * code, bq
 
     def activation(self, idx, x):
@@ -146,14 +148,17 @@ class QuantTap:
         bits = self.plan[idx].acts
         if bits is None:
             return x
-        return qz.quantize_unsigned(x, float(self.scales.act_scales[idx]), bits)
+        d = float(self.scales.act_scales[idx])
+        t = qz.scaled(x, d, bits)
+        code = qz.unsigned_code(t, bits)
+        self.at[idx], self.acode[idx] = t, code
+        return d * code
 
     def activation_backward(self, idx, g):
         bits = self.plan[idx].acts
         if bits is None:
             return g
-        d = float(self.scales.act_scales[idx])
-        return g * qz.ste_activation_passmask(self.pre_acts[idx], d, bits)
+        return g * qz.activation_pass(self.at[idx], bits)
 
 
 def code_range(bits):

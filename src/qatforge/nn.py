@@ -27,11 +27,19 @@ order, the order of the fc weights.
 
 Convolution is im2col with (kh, kw, c) columns plus a BLAS matmul against
 the weights permuted to (out, kh, kw, in); one-channel maps, like a first
-layer's, get their columns from k*k slab copies. The input gradient is one
-GEMM against the same permuted kernel and k*k strided slab adds, which is
-exact for the integer-divisible geometries forward enforces. Max-pooling is
-a running maximum of strided views. fixedpoint's integer engine runs these
-same layers on its codes, through a tap that requantizes each junction.
+layer's, get their columns from k*k slab copies. On row-major float64
+columns the matmul runs as the (out, rows) product, which float64 BLAS
+computes faster with the same sums, and the bias add writes it back
+channels-last; float32, as inference runs, is faster the other way round
+and keeps it. The input gradient runs per block of GX_BLOCK images, so the
+block's GEMM output is still in cache when it is added back: one GEMM
+against the same permuted kernel, then an overlap-add of each window's
+(kw, c) rows, k*c contiguous values per add, over the integer-divisible
+geometries forward enforces. Every input element takes its k*k terms in
+(kh, kw) order whatever the block; the GEMM's own sums can differ in the
+last bits between block sizes. Max-pooling is a running
+maximum of strided views. fixedpoint's integer engine runs these same
+layers on its codes, through a tap that requantizes each junction.
 """
 
 from __future__ import annotations
@@ -39,6 +47,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+
+GX_BLOCK = 8  # images per block of Conv2d's input gradient
 
 
 def fan_in(weight_shape):
@@ -118,8 +129,15 @@ class Conv2d:
         x = x.astype(w.dtype, copy=False)
         cols, ho, wo = im2col(x.transpose(0, 2, 3, 1), k, s, p)
         wk = w.transpose(0, 2, 3, 1).reshape(self.out_ch, -1)
-        y = cols @ wk.T
-        y += b
+        if cols.dtype == np.float64 and cols.flags.c_contiguous:
+            # float64 BLAS runs the (out, rows) product faster on row-major
+            # columns, and the sums are the same; the bias add writes it
+            # back channels-last
+            yt = (wk @ cols.T).T
+            y = np.add(yt, b, out=np.empty(yt.shape))
+        else:
+            y = cols @ wk.T
+            y += b
         y = y.reshape(n, ho, wo, self.out_ch).transpose(0, 3, 1, 2)
         return y, (cols, wk, (n, hp, wp, c))
 
@@ -133,17 +151,24 @@ class Conv2d:
         self.gb = gyf.sum(axis=0)
         if not need_input_grad:
             return None
-        # one GEMM against the permuted kernel, then scatter-add each of the
-        # k*k offset slabs; cheaper than a flipped-kernel correlation, which
-        # builds a far larger im2col
+        # per block of GX_BLOCK images, one GEMM against the permuted kernel
+        # gives the gradient of each window, still in cache when it is added
+        # back: for kernel row i and output column x, one add of the (kw, c)
+        # window row, k*c contiguous values on both sides. Descending x adds
+        # each input element's terms in (kh, kw) order. Cheaper than a
+        # flipped-kernel correlation, which builds a far larger im2col
         s, p = self.stride, self.pad
-        g = (gyf @ wk).reshape(n, ho, wo, k, k, c)
         gx = np.zeros(padded)
         hs = (ho - 1) * s + 1
-        ws = (wo - 1) * s + 1
-        for i in range(k):
-            for j in range(k):
-                gx[:, i : i + hs : s, j : j + ws : s] += g[:, :, :, i, j]
+        buf = np.empty((min(n, GX_BLOCK) * ho * wo, k * k * c), np.result_type(gyf, wk))
+        for a in range(0, n, GX_BLOCK):
+            e = min(a + GX_BLOCK, n)
+            g = np.matmul(gyf[a * ho * wo : e * ho * wo], wk, out=buf[: (e - a) * ho * wo])
+            g = g.reshape(e - a, ho, wo, k, k * c)
+            rows = gx[a:e].reshape(e - a, padded[1], -1)
+            for i in range(k):
+                for x in reversed(range(wo)):
+                    rows[:, i : i + hs : s, x * s * c : (x * s + k) * c] += g[:, :, x, i]
         if p:
             gx = gx[:, p:-p, p:-p]
         return gx.transpose(0, 3, 1, 2)

@@ -3,6 +3,12 @@
 Everything here is pure and vectorized: inputs may be scalars or arrays and
 the result follows numpy broadcasting, always in float64. The convention
 throughout is round-half-away-from-zero, not banker's rounding.
+
+Each rule of a quantizer (its code, its straight-through pass mask, its cell
+boundaries) is one function of t = x/delta, which scaled() computes; the
+functions of (x, delta, bits) compute t and apply one rule. A caller that
+needs several rules of one tensor, as a training step does, divides once
+and applies them all to the same t.
 """
 
 from __future__ import annotations
@@ -48,17 +54,72 @@ def round_half_away(x):
     return r if r.ndim else r[()]
 
 
-def code_signed(x, delta, bits):
-    """Integer code of the signed quantizer: clip(round(x/delta)) into
-    [-2^(bits-1), 2^(bits-1)-1]; for bits == 1 the code is the sign, with
-    sign(0) taken as +1 so the output set is exactly {-1, +1}."""
+def _round_clip(t, lo, hi):
+    """clip(round_half_away(t), lo, hi), in the same buffer."""
+    r = round_half_away(t)
+    return np.clip(r, lo, hi, out=r) if r.ndim else np.clip(r, lo, hi)
+
+
+def scaled(x, delta, bits):
+    """t = x/delta in float64, after checking delta and bits: the one
+    quotient the code, pass-mask and boundary rules below read. A tap
+    computes it once per tensor and hands it to all of them."""
     _check_scale(delta)
     _check_bits(bits)
-    x = np.asarray(x, dtype=np.float64)
+    return np.asarray(x, dtype=np.float64) / delta
+
+
+def signed_code(t, bits):
+    """Integer code of the signed quantizer at t = x/delta: clip(round(t))
+    into [-2^(bits-1), 2^(bits-1)-1]; for bits == 1 the code is the sign,
+    with sign(0) taken as +1 so the output set is exactly {-1, +1}."""
     if bits == 1:
-        return np.where(x < 0, -1.0, 1.0)
+        return np.where(t < 0, -1.0, 1.0)
     half = 2 ** (bits - 1)
-    return np.clip(round_half_away(x / delta), -half, half - 1)
+    return _round_clip(t, -half, half - 1)
+
+
+def unsigned_code(t, bits):
+    """clip(round(t)) into [0, 2^bits - 1], t = x/delta."""
+    return _round_clip(t, 0, 2**bits - 1)
+
+
+def weight_pass(t, bits):
+    """1.0 where the task gradient passes through quantize_signed, at
+    t = w/delta. The pass band is [-2^(bits-1)-1/2, 2^(bits-1)-1/2] for
+    bits >= 2 (the clip range widened by half a cell on each side) and
+    [-2, 2] for bits == 1. Both edges are included."""
+    if bits == 1:
+        lo, hi = -2.0, 2.0
+    else:
+        half = float(2 ** (bits - 1))
+        lo, hi = -half - 0.5, half - 0.5
+    return ((t >= lo) & (t <= hi)).astype(np.float64)
+
+
+def activation_pass(t, bits):
+    """1.0 where t = x/delta lies in the unsigned clip range
+    [0, 2^bits - 1], both edges included."""
+    return ((t >= 0.0) & (t <= float(2**bits - 1))).astype(np.float64)
+
+
+def signed_boundary(t, bits):
+    """Exact membership of t = x/delta in the signed boundary set, in cell
+    units (see cell_boundaries)."""
+    if bits == 1:
+        return t == 0.0
+    half = float(2 ** (bits - 1))
+    return _is_odd_half_integer(t) & (t >= -half + 0.5) & (t <= half - 1.5)
+
+
+def unsigned_boundary(t, bits):
+    """Exact membership of t = x/delta in {k + 1/2 : k = 0..2^bits-2}."""
+    return _is_odd_half_integer(t) & (t >= 0.5) & (t <= float(2**bits - 1) - 0.5)
+
+
+def code_signed(x, delta, bits):
+    """signed_code of x/delta."""
+    return signed_code(scaled(x, delta, bits), bits)
 
 
 def quantize_signed(x, delta, bits):
@@ -67,11 +128,8 @@ def quantize_signed(x, delta, bits):
 
 
 def code_unsigned(x, delta, bits):
-    """clip(round(x/delta)) into [0, 2^bits - 1]."""
-    _check_scale(delta)
-    _check_bits(bits)
-    x = np.asarray(x, dtype=np.float64)
-    return np.clip(round_half_away(x / delta), 0, 2**bits - 1)
+    """unsigned_code of x/delta."""
+    return unsigned_code(scaled(x, delta, bits), bits)
 
 
 def quantize_unsigned(x, delta, bits):
@@ -86,30 +144,14 @@ def snap_to_grid(x, step):
 
 
 def ste_weight_passmask(w, delta, bits):
-    """1.0 where the task gradient passes through quantize_signed.
-
-    The pass band in units of w/delta is [-2^(bits-1)-1/2, 2^(bits-1)-1/2]
-    for bits >= 2 (the clip range widened by half a cell on each side) and
-    [-2, 2] for bits == 1. Both edges are included.
-    """
-    _check_scale(delta)
-    _check_bits(bits)
-    t = np.asarray(w, dtype=np.float64) / delta
-    if bits == 1:
-        lo, hi = -2.0, 2.0
-    else:
-        half = float(2 ** (bits - 1))
-        lo, hi = -half - 0.5, half - 0.5
-    return ((t >= lo) & (t <= hi)).astype(np.float64)
+    """weight_pass of w/delta: 1.0 where the task gradient passes through
+    quantize_signed."""
+    return weight_pass(scaled(w, delta, bits), bits)
 
 
 def ste_activation_passmask(x, delta, bits):
-    """1.0 where x/delta lies in the unsigned clip range [0, 2^bits - 1],
-    both edges included; the backward rule of quantize_unsigned."""
-    _check_scale(delta)
-    _check_bits(bits)
-    t = np.asarray(x, dtype=np.float64) / delta
-    return ((t >= 0.0) & (t <= float(2**bits - 1))).astype(np.float64)
+    """activation_pass of x/delta; the backward rule of quantize_unsigned."""
+    return activation_pass(scaled(x, delta, bits), bits)
 
 
 def cell_boundaries(delta, bits):
@@ -135,31 +177,25 @@ def cell_boundaries_unsigned(delta, bits):
 def _is_odd_half_integer(t):
     # Exactly representable odd multiples of 1/2; tested in the scaled
     # domain so no reconstructed boundary value is compared for equality.
-    # An integer f is odd iff f/2 is not an integer (cheaper than fmod).
-    u = 2.0 * np.asarray(t)
-    f = np.floor(u)
-    half_f = 0.5 * f
-    return (u == f) & (np.floor(half_f) != half_f)
+    # t - trunc(t) is exact (Sterbenz for |t| >= 1, t itself below), so its
+    # magnitude is 1/2 just at the odd halves; inf and nan give nan.
+    t = np.asarray(t)
+    r = np.trunc(t, out=np.empty(t.shape))
+    with np.errstate(invalid="ignore"):
+        np.subtract(t, r, out=r)
+    np.abs(r, out=r)
+    return r == 0.5
 
 
 def on_cell_boundary(x, delta, bits):
     """Exact membership of x in the signed boundary set (a measure-zero mask
     used to drop regularizer gradients where the objective has a kink)."""
-    _check_scale(delta)
-    _check_bits(bits)
-    t = np.asarray(x, dtype=np.float64) / delta
-    if bits == 1:
-        return t == 0.0
-    half = float(2 ** (bits - 1))
-    return _is_odd_half_integer(t) & (t >= -half + 0.5) & (t <= half - 1.5)
+    return signed_boundary(scaled(x, delta, bits), bits)
 
 
 def on_cell_boundary_unsigned(x, delta, bits):
     """Exact membership in the unsigned boundary set {(k+1/2)*delta}."""
-    _check_scale(delta)
-    _check_bits(bits)
-    t = np.asarray(x, dtype=np.float64) / delta
-    return _is_odd_half_integer(t) & (t >= 0.5) & (t <= float(2**bits - 1) - 0.5)
+    return unsigned_boundary(scaled(x, delta, bits), bits)
 
 
 def on_grid_midpoint(x, step):

@@ -16,14 +16,14 @@ import math
 import numpy as np
 
 from .quantizers import (
-    code_signed,
-    code_unsigned,
-    on_cell_boundary,
-    on_cell_boundary_unsigned,
     on_grid_midpoint,
     on_pow2_boundary,
     round_pow2,
+    scaled,
+    signed_boundary,
+    signed_code,
     snap_to_grid,
+    unsigned_boundary,
 )
 
 
@@ -36,18 +36,27 @@ def _as_layer_list(value, num_layers):
     return value
 
 
-def weight_terms(w, code, delta, bits, lam, count):
-    """The MSQE terms of one weight layer, given its quantizer codes.
+def _error(x, delta, code):
+    """x - delta * code, in one buffer."""
+    err = np.multiply(code, delta)
+    return np.subtract(x, err, out=err) if err.ndim else x - err
+
+
+def weight_terms(w, t, code, delta, bits, lam, count):
+    """The MSQE terms of one weight layer, given t = w/delta and the
+    quantizer codes of t.
 
     Returns (sum of (w - Q(w))^2, the pull (2*lam/N)(w - Q(w)) on each
     weight, the scale gradient -(2*lam/N) * sum (w - Q(w)) * code). Both
-    gradients hold the code fixed and drop points on cell boundaries.
+    gradients hold the code fixed and drop points on cell boundaries; the
+    0/1 mask goes on the error first, which gives the same products, signed
+    zeros included.
     """
-    err = w - delta * code
-    keep = ~on_cell_boundary(w, delta, bits)
+    err = _error(w, delta, code)
+    kept = err * ~signed_boundary(t, bits)
     coeff = 2.0 * lam / count
-    scale_grad = -coeff * float(np.sum(err * code * keep))
-    return float(np.sum(err * err)), coeff * err * keep, scale_grad
+    scale_grad = -coeff * float(np.sum(kept * code))
+    return float(np.sum(err * err)), coeff * kept, scale_grad
 
 
 def grid_terms(values, snapped, step, lam, count):
@@ -59,23 +68,24 @@ def grid_terms(values, snapped, step, lam, count):
     return float(np.sum(err * err)), pull
 
 
-def activation_terms(acts, delta, bits, zeta):
-    """The MSQE terms of one activation batch: (mean of (a - Q(a))^2, the
-    scale gradient -(2*zeta/|A|) * sum (a - Q(a)) * code), the code held
-    fixed and points on cell boundaries dropped."""
+def activation_terms(acts, t, code, delta, bits, zeta):
+    """The MSQE terms of one activation batch, given t = acts/delta and the
+    quantizer codes of t: (mean of (a - Q(a))^2, the scale gradient
+    -(2*zeta/|A|) * sum (a - Q(a)) * code), the code held fixed and points
+    on cell boundaries dropped."""
     acts = np.asarray(acts, dtype=np.float64)
     if acts.size == 0:
         raise ValueError("empty activation set")
-    code = code_unsigned(acts, delta, bits)
-    err = acts - delta * code
-    keep = ~on_cell_boundary_unsigned(acts, delta, bits)
-    scale_grad = -(2.0 * zeta / acts.size) * float(np.sum(err * code * keep))
+    err = _error(acts, delta, code)
+    kept = err * ~unsigned_boundary(t, bits)
+    scale_grad = -(2.0 * zeta / acts.size) * float(np.sum(kept * code))
     return float(np.mean(err * err)), scale_grad
 
 
 def _weight_terms(w, delta, bits, lam, count):
     w = np.asarray(w, dtype=np.float64)
-    return weight_terms(w, code_signed(w, delta, bits), delta, bits, lam, count)
+    t = scaled(w, delta, bits)
+    return weight_terms(w, t, signed_code(t, bits), delta, bits, lam, count)
 
 
 def msqe_weights(weights, deltas, bits):
@@ -162,20 +172,34 @@ def prune_masks(weights, ratio):
     return [m.reshape(np.shape(w)) for w, m in zip(weights, np.split(keep, ends))]
 
 
-def partial_l2(weights, theta, count):
-    """(1/N) * sum of w^2 over weights strictly inside the band |w| < theta."""
-    if theta < 0:
-        raise ValueError("threshold must be non-negative")
-    total = 0.0
+def _band_terms(weights, theta, count):
+    """(R, pulls) of the partial L2 below theta, from one |w| < theta mask
+    per layer."""
+    total, pulls = 0.0, []
     for w in weights:
         w = np.asarray(w, dtype=np.float64)
         inside = np.abs(w) < theta
         total += float(np.sum(w[inside] ** 2))
-    return total / count
+        pulls.append((2.0 / count) * w * inside)
+    return total / count, pulls
+
+
+def partial_l2(weights, theta, count):
+    """(1/N) * sum of w^2 over weights strictly inside the band |w| < theta."""
+    if theta < 0:
+        raise ValueError("threshold must be non-negative")
+    return _band_terms(weights, theta, count)[0]
 
 
 def partial_l2_grad(w, theta, count):
     """(2/N) * w inside the band, 0 outside; the boundary |w| = theta is
     outside the strict inequality so it gets no pull."""
-    w = np.asarray(w, dtype=np.float64)
-    return (2.0 / count) * w * (np.abs(w) < theta)
+    return _band_terms([w], theta, count)[1][0]
+
+
+def prune_terms(weights, ratio, count):
+    """The prune regularizer of one step: (theta, R, pulls), with theta =
+    prune_threshold(weights, ratio), R = partial_l2(weights, theta, count)
+    and pulls[l] = partial_l2_grad(weights[l], theta, count)."""
+    theta = prune_threshold(weights, ratio)
+    return (theta, *_band_terms(weights, theta, count))

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import quantizers as qz
 from . import regularizers as rg
-from .fixedpoint import LayerBits, QuantTap, ScaleState, bias_grid_step
+from .fixedpoint import TILE, LayerBits, QuantTap, ScaleState, bias_grid_step
 from .models import net_from_spec, net_spec
 from .nn import softmax_xent
 
@@ -170,6 +170,8 @@ def quant_plan(num_layers, cfg: TrainConfig):
 class Adam:
     """Adaptive moment optimizer for one array (or scalar)."""
 
+    BLOCK = 1 << 14  # elements per pass: a block's m, v and temporaries stay in cache
+
     def __init__(self, shape, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = np.zeros(shape)
@@ -180,22 +182,28 @@ class Adam:
         grad = np.asarray(grad, dtype=np.float64)
         self.t += 1
         b1, b2, t = self.beta1, self.beta2, self.t
-        # in place: m and v are updated where they are, and two temporaries,
-        # arrays also for a 0-d state, hold the rest
-        m, v = self.m, self.v
-        out = np.multiply(grad, 1.0 - b1, out=np.empty_like(grad))
-        m *= b1
-        m += out
-        np.multiply(grad, 1.0 - b2, out=out)
-        out *= grad
-        v *= b2
-        v += out
-        den = np.divide(v, 1.0 - b2**t, out=np.empty_like(v))
-        np.sqrt(den, out=den)
-        den += self.eps
-        np.divide(m, 1.0 - b1**t, out=out)
-        out *= -lr
-        out /= den
+        # in place, one block at a time: m and v are updated where they are,
+        # the update is written into out, and den holds the rest; each
+        # element sees the same operations in the same order at any size
+        out = np.empty(grad.shape)
+        m, v, g, o = (a.reshape(-1) for a in (self.m, self.v, grad, out))
+        den = np.empty(min(g.size, self.BLOCK))
+        for s in range(0, g.size, self.BLOCK):
+            mb, vb, gb, ob = (a[s : s + self.BLOCK] for a in (m, v, g, o))
+            db = den[: gb.size]
+            np.multiply(gb, 1.0 - b1, out=ob)
+            mb *= b1
+            mb += ob
+            np.multiply(gb, 1.0 - b2, out=ob)
+            ob *= gb
+            vb *= b2
+            vb += ob
+            np.divide(vb, 1.0 - b2**t, out=db)
+            np.sqrt(db, out=db)
+            db += self.eps
+            np.divide(mb, 1.0 - b1**t, out=ob)
+            ob *= -lr
+            ob /= db
         return out
 
 
@@ -262,13 +270,21 @@ def init_scales(net, plan, calib_images, input_scale, masks=None):
             p = 1e-3
         wscales[l] = p if bits == 1 else p / (2 ** (bits - 1) - 1)
     if any(p.acts is not None for p in plan):
+        # TILE images per forward, as inference runs, so no conv's columns
+        # outgrow the allocator's reuse; the junction values do not depend
+        # on the tiling
         tap = QuantTap([LayerBits(None, None)] * len(params), None)
-        net.forward(calib_images * input_scale, tap)
+        acts = [[] for _ in params]
+        for s in range(0, len(calib_images), TILE):
+            net.forward(calib_images[s : s + TILE] * input_scale, tap)
+            for l, a in enumerate(tap.pre_acts):
+                if a is not None:
+                    acts[l].append(a)
         for l in range(len(params)):
             bits = plan[l].acts
-            if bits is None or tap.pre_acts[l] is None:
+            if bits is None or not acts[l]:
                 continue
-            p = float(np.percentile(tap.pre_acts[l], 99))
+            p = float(np.percentile(np.concatenate(acts[l]), 99))
             if p <= 0.0:
                 p = 1e-3
             ascales[l] = p / (2**bits - 1)
@@ -419,9 +435,9 @@ def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
 
             lam = reg.lam
             if prune:
-                weights = [layer.W for layer in params]
-                theta = rg.prune_threshold(weights, cfg.prune_ratio)
-                r_value = rg.partial_l2(weights, theta, n_reg)
+                theta, r_value, pulls = rg.prune_terms(
+                    [layer.W for layer in params], cfg.prune_ratio, n_reg
+                )
             r_sum = 0.0
             gd = np.zeros(len(params))
             ga = np.zeros(len(params))
@@ -429,17 +445,17 @@ def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
             for l, layer in enumerate(params):
                 gW, gb = layer.gW, layer.gb
                 if prune:
-                    gW = gW + lam * rg.partial_l2_grad(layer.W, theta, n_reg)
+                    gW = gW + lam * pulls[l]
                 bits = plan[l].weights
                 if bits is not None:
                     d = float(scales.weight_scales[l])
                     w_sq, w_pull, gd[l] = rg.weight_terms(
-                        layer.W, tap.wcode[l], d, bits, lam, n_reg
+                        layer.W, tap.wt[l], tap.wcode[l], d, bits, lam, n_reg
                     )
                     b_sq, b_pull = rg.grid_terms(
                         layer.b, tap.bq[l], bias_grid_step(plan, scales, l), lam, n_reg
                     )
-                    gW = gW * qz.ste_weight_passmask(layer.W, d, bits) + w_pull
+                    gW = gW * qz.weight_pass(tap.wt[l], bits) + w_pull
                     gb = gb + b_pull
                     r_sum += w_sq + b_sq
                     if pow2:
@@ -447,7 +463,7 @@ def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
                 if plan[l].acts is not None:
                     dd = float(scales.act_scales[l])
                     s_l, ga[l] = rg.activation_terms(
-                        tap.pre_acts[l], dd, plan[l].acts, reg.zeta
+                        tap.pre_acts[l], tap.at[l], tap.acode[l], dd, plan[l].acts, reg.zeta
                     )
                     s_total += s_l
                     if pow2:

@@ -41,22 +41,46 @@ def test_conv_forward_matches_loop(stride, pad, h, w):
 
 @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1), (1, 2)])
 def test_conv_backward_matches_fd(stride, pad):
-    rng = np.random.default_rng(1)
-    x = rng.normal(0, 1, (2, 3, 7, 7))
-    layer = nn.Conv2d(3, 4, 3, stride=stride, pad=pad, rng=rng)
-    y, cache = layer.forward(x, layer.W, layer.b)
-    r = rng.normal(0, 1, y.shape)
+    # batches of one image, of one partial input-gradient block, and across
+    # block edges
+    assert nn.GX_BLOCK == 8
+    for batch in (2, 1, 9, 13):
+        rng = np.random.default_rng(1)
+        x = rng.normal(0, 1, (batch, 3, 7, 7))
+        layer = nn.Conv2d(3, 4, 3, stride=stride, pad=pad, rng=rng)
+        y, cache = layer.forward(x, layer.W, layer.b)
+        r = rng.normal(0, 1, y.shape)
 
-    def loss():
-        return float(np.sum(layer.forward(x, layer.W, layer.b)[0] * r))
+        def loss():
+            return float(np.sum(layer.forward(x, layer.W, layer.b)[0] * r))
 
-    gx = layer.backward(r, cache)
-    fd_w = _fd_grad(loss, layer.W)
-    fd_b = _fd_grad(loss, layer.b)
-    fd_x = _fd_grad(loss, x)
-    assert np.max(np.abs(layer.gW - fd_w)) <= 1e-6
-    assert np.max(np.abs(layer.gb - fd_b)) <= 1e-6
-    assert np.max(np.abs(gx - fd_x)) <= 1e-6
+        gx = layer.backward(r, cache)
+        fd_w = _fd_grad(loss, layer.W)
+        fd_b = _fd_grad(loss, layer.b)
+        fd_x = _fd_grad(loss, x)
+        assert np.max(np.abs(layer.gW - fd_w)) <= 1e-6
+        assert np.max(np.abs(layer.gb - fd_b)) <= 1e-6
+        assert np.max(np.abs(gx - fd_x)) <= 1e-6
+
+
+@pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1), (1, 2)])
+def test_conv_forward_float32_equals_float64_on_integers(stride, pad):
+    """On small integers every sum is exact in both dtypes, so the float64
+    (out, rows) product and the float32 (rows, out) one agree exactly, with
+    the loop reference too, on many channels and on one."""
+    rng = np.random.default_rng(12)
+    for cin in (3, 1):
+        x = rng.integers(-8, 8, (5, cin, 9, 9)).astype(np.float64)
+        layer = nn.Conv2d(cin, 4, 3, stride=stride, pad=pad, rng=rng)
+        w = rng.integers(-8, 8, layer.W.shape).astype(np.float64)
+        b = rng.integers(-50, 50, 4).astype(np.float64)
+        y64, _ = layer.forward(x, w, b)
+        y32, _ = layer.forward(x, w.astype(np.float32), b.astype(np.float32))
+        assert y64.dtype == np.float64 and y32.dtype == np.float32
+        assert y64.transpose(0, 2, 3, 1).flags.c_contiguous
+        assert y32.transpose(0, 2, 3, 1).flags.c_contiguous
+        assert np.array_equal(y64, y32)
+        assert np.array_equal(y64, oracles.loop_conv2d(x, w, b, stride=stride, pad=pad))
 
 
 def test_conv_backward_can_skip_input_grad():
@@ -276,12 +300,14 @@ def _run_layer(layer, x, gy_layout):
 def test_layers_give_identical_results_on_either_memory_layout(make, side, gy_layout):
     rng = np.random.default_rng(8)
     layer = make(rng)
-    x = rng.normal(0, 1, (2, 3, side, side))
-    y0, gx0, grads0 = _run_layer(layer, x, gy_layout)
-    y1, gx1, grads1 = _run_layer(layer, _channels_last(x), gy_layout)
-    for a, b in [(y0, y1), (gx0, gx1), *zip(grads0, grads1)]:
-        assert a.shape == b.shape
-        assert np.array_equal(a, b)
+    # 19 images span three input-gradient blocks of a conv
+    for batch in (2, 19):
+        x = rng.normal(0, 1, (batch, 3, side, side))
+        y0, gx0, grads0 = _run_layer(layer, x, gy_layout)
+        y1, gx1, grads1 = _run_layer(layer, _channels_last(x), gy_layout)
+        for a, b in [(y0, y1), (gx0, gx1), *zip(grads0, grads1)]:
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
 
 
 def test_feature_maps_stay_channels_last():

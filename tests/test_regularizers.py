@@ -20,6 +20,12 @@ def _weights_off_boundaries(rng, n, delta, bits, gap=1e-3):
     return np.array(out[:n])
 
 
+def _activation_terms(acts, delta, bits, zeta):
+    """activation_terms on the quantizer values a QuantTap would hand it."""
+    t = qz.scaled(acts, delta, bits)
+    return rg.activation_terms(acts, t, qz.unsigned_code(t, bits), delta, bits, zeta)
+
+
 def test_msqe_weights_direct_sum():
     rng = np.random.default_rng(0)
     delta, bits = 0.37, 3
@@ -112,7 +118,7 @@ def test_msqe_activations_direct():
     want = np.mean(
         [(x - oracles.nearest_level(x, levels)) ** 2 for x in a.ravel()]
     )
-    assert abs(rg.activation_terms(a, delta, bits, 1.0)[0] - want) <= 1e-12 * max(1, want)
+    assert abs(_activation_terms(a, delta, bits, 1.0)[0] - want) <= 1e-12 * max(1, want)
 
 
 def test_scale_grad_activations_matches_fd():
@@ -126,7 +132,7 @@ def test_scale_grad_activations_matches_fd():
         a.extend(x[d > 1e-3 * delta].tolist())
     a = np.array(a[:200])
     code = qz.code_unsigned(a, delta, bits)
-    got = rg.activation_terms(a, delta, bits, zeta)[1]
+    got = _activation_terms(a, delta, bits, zeta)[1]
 
     def f(d):
         return zeta * float(np.mean((a - d * code) ** 2))
@@ -249,7 +255,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         rg.msqe_weights([np.ones(3)], [0.5, 0.5], 4)
     with pytest.raises(ValueError):
-        rg.activation_terms(np.array([]), 0.5, 4, 1.0)
+        _activation_terms(np.array([]), 0.5, 4, 1.0)
     with pytest.raises(ValueError):
         rg.prune_threshold([np.ones(3)], 1.0)
     with pytest.raises(ValueError):
