@@ -36,6 +36,7 @@ from .training import (
     evaluate,
     load_checkpoint,
     quant_plan,
+    refuse_unknown_keys,
     save_checkpoint,
     train,
 )
@@ -63,6 +64,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
+        refuse_unknown_keys(cls, d)
         d["train"] = TrainConfig.from_dict(d.get("train", {}))
         return cls(**d)
 
@@ -123,19 +125,10 @@ def _write_manifest(outdir, cfg: ExperimentConfig, root):
         json.dump(manifest, f, indent=2, sort_keys=True)
 
 
-def _write_config(outdir, cfg: ExperimentConfig):
-    with open(Path(outdir) / "config.json", "w") as f:
-        json.dump(cfg.to_dict(), f, indent=2, sort_keys=True)
-
-
-def _load_config(path):
-    with open(path) as f:
-        return ExperimentConfig.from_dict(json.load(f))
-
-
 def _build_experiment(args, mode):
     if args.config:
-        cfg = _load_config(args.config)
+        with open(args.config) as f:
+            cfg = ExperimentConfig.from_dict(json.load(f))
     else:
         cfg = ExperimentConfig()
     cfg.train.mode = mode
@@ -151,8 +144,6 @@ def _build_experiment(args, mode):
         t.weight_bits = args.bits_w
     if getattr(args, "bits_a", None) is not None:
         t.act_bits = args.bits_a
-    if getattr(args, "pow2", False):
-        t.mode = "qat_pow2"
     if getattr(args, "no_acts", False):
         t.quantize_acts = False
     if getattr(args, "skip_first_last", False):
@@ -184,11 +175,10 @@ def _run_training(cfg: ExperimentConfig, init_ckpt=None):
 
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_config(outdir, cfg)
+    with open(outdir / "config.json", "w") as f:
+        json.dump(cfg.to_dict(), f, indent=2, sort_keys=True)
     _write_manifest(outdir, cfg, root)
     emit_curves(result.log, outdir)
-    if result.prune_log is not None:
-        emit_curves(result.prune_log, outdir / "prune_stage")
     # run time stays out of the checkpoint, so a rerun writes the same bytes
     meta = {
         "final_accuracy": result.final_accuracy,

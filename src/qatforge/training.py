@@ -1,6 +1,6 @@
 """Training for the regularized quantization pipeline.
 
-One loop, _run_core, trains every mode. Each step runs the forward (through
+One loop, train, trains every mode. Each step runs the forward (through
 a QuantTap when anything is quantized), the task loss and its backward, adds
 the pull of the mode's regularizer R to the task gradients and takes an Adam
 step. Every mode with an R also learns its weight lam = exp(omega) in
@@ -21,8 +21,9 @@ R shrinks and ratchets the weights in. The mode picks R and the ending:
   threshold theta, the nearest-rank percentile of pooled |w|, recomputed
   every step. The run ends by zeroing and masking exactly ceil(ratio * N)
   weights, the smallest magnitudes; biases are never pruned.
-* ``prune_then_qat``: the loop run twice, prune then qat; the mask stays
-  frozen through the QAT stage.
+
+Stages compose through masks: train(qat, masks=res.prune_mask) after a
+train(prune) holds the pruned weights at zero through QAT and its snap.
 
 At the end of a quantized run the float masters are consolidated onto their
 grids (weights to delta-levels, biases to the accumulator grid). Every
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +56,10 @@ from .nn import softmax_xent
 LOG_COEFF_CAP = 40.0
 SCALE_FLOOR = 1e-8
 
-MODES = ("float", "qat", "qat_pow2", "prune", "prune_then_qat")
+MODES = ("float", "qat", "qat_pow2", "prune")
+
+# keys of earlier config files that load only at the value now always used
+_RETIRED_KEYS = {"lr_log_gamma": None, "input_scale": None, "snap_at_end": True}
 
 
 @dataclass
@@ -67,38 +71,31 @@ class TrainConfig:
     skip_first_last: bool = False
     prune_ratio: float = 0.0
     epochs: int = 20
-    prune_epochs: int = 8  # stage-1 length for prune_then_qat
     batch_size: int = 64
     seed: int = 0
     lr: float = 1e-3
     lr_schedule: tuple = ()  # ((epoch, multiplier), ...) applied from that epoch on
     lr_scales: float = 1e-3
-    lr_log_lam: float = 1e-3
-    lr_log_gamma: float | None = None  # defaults to lr_log_lam
+    lr_log_lam: float = 1e-3  # also the rate of the pow2 coefficients gamma
     alpha: float = 0.5
     zeta: float = 1.0
     beta_w: float = 0.5
     beta_a: float = 0.5
-    input_scale: float | None = None  # default 1/255, or 1/256 for qat_pow2
     eval_batch: int = 1000
     hist_every: int = 1000
-    snap_at_end: bool = True
 
     def validate(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        if self.mode in ("qat", "qat_pow2", "prune_then_qat"):
+        if self.mode in ("qat", "qat_pow2"):
             qz.QuantSpec(self.weight_bits, self.act_bits if self.quantize_acts else 1)
-        if self.mode in ("prune", "prune_then_qat"):
-            if not 0.0 <= self.prune_ratio < 1.0:
-                raise ValueError("prune_ratio must lie in [0, 1)")
+        if self.mode == "prune" and not 0.0 <= self.prune_ratio < 1.0:
+            raise ValueError("prune_ratio must lie in [0, 1)")
         if min(self.epochs, self.batch_size, self.eval_batch) < 1:
             raise ValueError("epochs, batch_size and eval_batch must be positive")
         return self
 
     def resolved_input_scale(self):
-        if self.input_scale is not None:
-            return self.input_scale
         return 1.0 / 256.0 if self.mode == "qat_pow2" else 1.0 / 255.0
 
     def to_dict(self):
@@ -109,8 +106,19 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
+        d.pop("prune_epochs", None)  # stage length of the removed prune_then_qat
+        for key, value in _RETIRED_KEYS.items():
+            if key in d and d.pop(key) is not value:
+                raise ValueError(f"config key {key!r} was removed; only its old value {value} loads")
+        refuse_unknown_keys(cls, d)
         d["lr_schedule"] = tuple((int(e), float(m)) for e, m in d.get("lr_schedule", ()))
         return cls(**d)
+
+
+def refuse_unknown_keys(cls, d):
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
 
 
 @dataclass
@@ -228,7 +236,6 @@ class TrainResult:
     final_accuracy: float
     wall_seconds: float
     diagnostics: dict
-    prune_log: TrainLog | None = None
 
 
 # --- closed-form update rules ----------------------------------------------
@@ -366,10 +373,13 @@ def _prep(images):
     return images.reshape(images.shape[0], 1, images.shape[1], images.shape[2])
 
 
-def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
-    """The training loop of every mode; cfg.mode picks R and the ending (see
-    the module docstring). masks, if given, hold the pruned weights at zero.
-    Returns a TrainResult; mutates net."""
+def train(net, data, cfg: TrainConfig, masks=None):
+    """Run one training stage on net, mutating it in place; cfg.mode picks R
+    and the ending (see the module docstring). data is any object with
+    train_images/train_labels/test_images/test_labels uint8 arrays. masks,
+    one keep-array per parameter layer, hold the pruned weights at zero;
+    prune draws its own mask and ignores the one given."""
+    cfg.validate()
     t0 = time.perf_counter()
     train_x, train_y = _prep(data.train_images), data.train_labels.astype(np.int64)
     test_x, test_y = data.test_images, data.test_labels.astype(np.int64)
@@ -377,9 +387,16 @@ def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
         raise ValueError(f"{len(train_x)} train and {len(test_x)} test images: a run needs "
                          f"one batch of {cfg.batch_size} and one test image")
     params = net.param_layers
+    prune = cfg.mode == "prune"
+    if masks is not None:
+        if len(masks) != len(params):
+            raise ValueError(f"{len(masks)} masks for {len(params)} parameter layers")
+        for l, (keep, layer) in enumerate(zip(masks, params)):
+            if np.shape(keep) != layer.W.shape:
+                raise ValueError(f"layer {l}: mask shape {np.shape(keep)} is not {layer.W.shape}")
+        masks = None if prune else masks
     plan = quant_plan(len(params), cfg)
     quantized = any(p.weights is not None or p.acts is not None for p in plan)
-    prune = cfg.mode == "prune"
     pow2 = cfg.mode == "qat_pow2"
     input_scale = cfg.resolved_input_scale()
     rng = np.random.default_rng(cfg.seed)
@@ -404,7 +421,6 @@ def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
         )
     widx = [l for l, p in enumerate(plan) if p.weights is not None]
     aidx = [l for l, p in enumerate(plan) if p.acts is not None]
-    lr_gamma = cfg.lr_log_gamma if cfg.lr_log_gamma is not None else cfg.lr_log_lam
 
     adam_w = [Adam(layer.W.shape) for layer in params]
     adam_b = [Adam(layer.b.shape) for layer in params]
@@ -421,7 +437,6 @@ def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
         lr_w = cfg.lr * mult
         lr_s = cfg.lr_scales * mult
         lr_om = cfg.lr_log_lam * mult
-        lr_g = lr_gamma * mult
         for idx in _batches(rng, train_x.shape[0], cfg.batch_size):
             x = train_x[idx].astype(np.float64) * input_scale
             y = train_y[idx]
@@ -498,13 +513,13 @@ def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
                 reg.log_lam = _log_coeff_step(reg.log_lam, r_value, reg.alpha, adam_om, lr_om)
                 if pow2:
                     reg.log_gamma_w = _log_coeff_step(
-                        reg.log_gamma_w, t_w, reg.beta_w, adam_gw, lr_g
+                        reg.log_gamma_w, t_w, reg.beta_w, adam_gw, lr_om
                     )
                     row["pow2_w"] = t_w
                     row["gamma_w"] = reg.gamma_w
                     if t_a is not None:
                         reg.log_gamma_a = _log_coeff_step(
-                            reg.log_gamma_a, t_a, reg.beta_a, adam_ga, lr_g
+                            reg.log_gamma_a, t_a, reg.beta_a, adam_ga, lr_om
                         )
                         row["pow2_a"] = t_a
                         row["gamma_a"] = reg.gamma_a
@@ -526,7 +541,7 @@ def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
         else:
             terms = f"R={r_value:.3e} lam={reg.lam:.3e}"
         print(
-            f"{log_prefix}[{cfg.mode} epoch {epoch + 1}/{cfg.epochs}] "
+            f"[{cfg.mode} epoch {epoch + 1}/{cfg.epochs}] "
             f"task={task:.4f} {terms} acc={acc:.4f}",
             flush=True,
         )
@@ -542,11 +557,10 @@ def _run_core(net, data, cfg: TrainConfig, masks=None, log_prefix=""):
             eval_tap = QuantTap(plan, scales)
             final_acc = evaluate(net, test_x, test_y, input_scale, eval_tap, cfg.eval_batch)
         diagnostics = _convergence_stats(net, plan, scales)
-        if cfg.snap_at_end:
-            snap_to_levels(net, scales, plan)
-            if masks is not None:
-                for layer, keep in zip(params, masks):
-                    layer.W[~keep] = 0.0
+        snap_to_levels(net, scales, plan)
+        if masks is not None:
+            for layer, keep in zip(params, masks):
+                layer.W[~keep] = 0.0
     elif prune:
         weights = [layer.W for layer in params]
         theta = rg.prune_threshold(weights, cfg.prune_ratio)
@@ -582,27 +596,6 @@ def _snapshot_histograms(log, net, plan, scales, it):
         d = float(scales.weight_scales[l])
         counts, _ = np.histogram(layer.W.ravel(), bins=201, range=(-4.0 * d, 4.0 * d))
         log.hist_rows.append((it, l, d, counts))
-
-
-def train(net, data, cfg: TrainConfig, masks=None):
-    """Run one training stage (or the prune_then_qat composition) on net,
-    mutating it in place. data is any object with train_images/train_labels/
-    test_images/test_labels uint8 arrays. prune draws its own mask and
-    ignores the one given."""
-    cfg.validate()
-    if cfg.mode == "prune":
-        return _run_core(net, data, cfg)
-    if cfg.mode == "prune_then_qat":
-        stage1 = replace(cfg, mode="prune", epochs=cfg.prune_epochs)
-        res1 = _run_core(net, data, stage1, log_prefix="stage1 ")
-        stage2 = replace(cfg, mode="qat")
-        res2 = _run_core(net, data, stage2, masks=res1.prune_mask, log_prefix="stage2 ")
-        res2.prune_log = res1.log
-        res2.diagnostics.update(
-            {f"prune_{k}": v for k, v in res1.diagnostics.items()}
-        )
-        return res2
-    return _run_core(net, data, cfg, masks=masks)
 
 
 # --- checkpoints ------------------------------------------------------------

@@ -339,6 +339,24 @@ def test_bad_config_value_reports_error(ds, tmp_path, capsys):
     assert "unknown architecture" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"train": {"epoch": 3}}, "unknown TrainConfig keys: epoch"),
+        ({"trian": {}}, "unknown ExperimentConfig keys: trian"),
+        ({"train": {"snap_at_end": False}}, "config key 'snap_at_end' was removed"),
+    ],
+)
+def test_unknown_config_key_reports_error(ds, tmp_path, capsys, config, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    rc = main(["train", "--config", str(path), "--data", str(ds),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_emit_curves_rejects_empty_log(tmp_path):
     with pytest.raises(ValueError, match="empty training log"):
         emit_curves(TrainLog(), tmp_path)

@@ -38,11 +38,12 @@ def test_demo_runs(name, monkeypatch, capsys):
 
 
 def test_fixed_point_trace_demo_runs(tmp_path, monkeypatch, capsys):
-    # a calibrated 4-bit LeNet snapped onto power-of-two grids, so the float
-    # simulation the demo compares against is exact
+    # a calibrated 4-bit LeNet snapped onto power-of-two grids, with the
+    # qat_pow2 input scale 1/256, so the float simulation the demo compares
+    # against is exact
     _write_idx(tmp_path, n_train=64, n_test=32)
     data = qf.load_mnist(tmp_path)
-    cfg = qf.TrainConfig(mode="qat", weight_bits=4, act_bits=4, input_scale=1 / 256)
+    cfg = qf.TrainConfig(mode="qat_pow2", weight_bits=4, act_bits=4)
     net = qf.build_lenet(np.random.default_rng(0))
     plan = qf.quant_plan(len(net.param_layers), cfg)
     calib = data.train_images[:, None].astype(np.float64)

@@ -1,12 +1,14 @@
 """Training mechanics on small synthetic data: bit plans, update rules,
 determinism, stage composition, and checkpoints."""
 
+import json
 import math
 import os
 import struct
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -93,9 +95,29 @@ def test_config_validation_and_round_trip():
     cfg = _cfg(mode="qat_pow2", lr_schedule=((2, 0.1), (4, 0.01)))
     assert cfg.resolved_input_scale() == 1 / 256
     assert _cfg(mode="qat").resolved_input_scale() == 1 / 255
-    assert _cfg(input_scale=0.01).resolved_input_scale() == 0.01
     again = tr.TrainConfig.from_dict(cfg.to_dict())
     assert again == cfg
+    # a config.json or checkpoint header written before prune_epochs,
+    # lr_log_gamma, input_scale and snap_at_end were removed: all four at
+    # their old defaults
+    old = json.loads(
+        '{"mode": "qat", "weight_bits": 4, "act_bits": 4, "quantize_acts": true, '
+        '"skip_first_last": false, "prune_ratio": 0.0, "epochs": 20, "prune_epochs": 8, '
+        '"batch_size": 64, "seed": 0, "lr": 0.001, "lr_schedule": [], "lr_scales": 0.001, '
+        '"lr_log_lam": 0.001, "lr_log_gamma": null, "alpha": 0.5, "zeta": 1.0, '
+        '"beta_w": 0.5, "beta_a": 0.5, "input_scale": null, "eval_batch": 1000, '
+        '"hist_every": 1000, "snap_at_end": true}'
+    )
+    assert tr.TrainConfig.from_dict(old) == tr.TrainConfig()
+    assert tr.TrainConfig.from_dict(dict(old, prune_epochs=2)) == tr.TrainConfig()
+    assert len(fields(tr.TrainConfig)) == 19
+    assert tr.MODES == ("float", "qat", "qat_pow2", "prune")
+    # any other value of a removed key would change the run, so it is refused
+    for key, value in [("snap_at_end", False), ("lr_log_gamma", 0.01), ("input_scale", 0.01)]:
+        with pytest.raises(ValueError, match=f"config key '{key}' was removed"):
+            tr.TrainConfig.from_dict(dict(old, **{key: value}))
+    with pytest.raises(ValueError, match="unknown TrainConfig keys: epoch, trian"):
+        tr.TrainConfig.from_dict({"trian": 1, "epoch": 3})
 
 
 def test_lr_schedule_last_applicable_wins():
@@ -294,6 +316,26 @@ def test_qat_respects_masks():
     assert res.prune_mask is masks
 
 
+@pytest.mark.parametrize("mode", ["qat", "prune"])
+@pytest.mark.parametrize(
+    "shapes, match",
+    [
+        ([(4, 1)], r"layer 0: mask shape \(4, 1\) is not \(4, 64\)"),
+        ([(64, 4)], r"layer 0: mask shape \(64, 4\) is not \(4, 64\)"),
+        ([], "0 masks for 1 parameter layers"),
+        ([(4, 64), (4, 64)], "2 masks for 1 parameter layers"),
+    ],
+)
+def test_train_refuses_masks_that_do_not_fit_the_layers(mode, shapes, match):
+    data = _toy_data(np.random.default_rng(4), n_train=64, n_test=32)
+    net = _toy_net(np.random.default_rng(10))
+    before = net.param_layers[0].W.copy()
+    masks = [np.ones(shape, dtype=bool) for shape in shapes]
+    with pytest.raises(ValueError, match=match):
+        tr.train(net, data, _cfg(mode=mode, prune_ratio=0.5), masks=masks)
+    assert np.array_equal(net.param_layers[0].W, before)
+
+
 def test_log_lambda_is_capped():
     rng = np.random.default_rng(5)
     data = _toy_data(rng, n_train=64, n_test=32)
@@ -354,15 +396,15 @@ def test_prune_masks_equal_the_stable_argsort_rule():
 
 
 def test_prune_then_qat_composition():
+    # prune, then QAT of the survivors under the frozen mask
     rng = np.random.default_rng(7)
     data = _toy_data(rng)
     net = _toy_net(np.random.default_rng(13))
-    cfg = _cfg(
-        mode="prune_then_qat", prune_ratio=0.8, prune_epochs=2, epochs=2, lr=1e-3
-    )
-    res = tr.train(net, data, cfg)
-    assert res.prune_log is not None and res.prune_log.rows
-    assert "prune_theta_final" in res.diagnostics
+    pruned = tr.train(net, data, _cfg(mode="prune", prune_ratio=0.8, epochs=2, lr=1e-3))
+    assert pruned.log.rows and "theta_final" in pruned.diagnostics
+    cfg = _cfg(mode="qat", epochs=2, lr=1e-3)
+    res = tr.train(net, data, cfg, masks=pruned.prune_mask)
+    assert res.prune_mask is pruned.prune_mask
     for layer, keep in zip(net.param_layers, res.prune_mask):
         assert np.all(layer.W[~keep] == 0.0)
     # survivors are on the quantization grid
@@ -374,23 +416,31 @@ def test_prune_then_qat_composition():
 
 
 @pytest.mark.parametrize(
-    "kw",
+    "prune_ratio, kw",
     [
-        dict(mode="qat"),
-        dict(mode="qat", weight_bits=1),
-        dict(mode="prune_then_qat", prune_ratio=0.5, prune_epochs=1),
-        dict(mode="prune_then_qat", prune_ratio=0.5, prune_epochs=1, weight_bits=1),
-        dict(mode="qat_pow2"),
+        (None, dict(mode="qat")),
+        (None, dict(mode="qat", weight_bits=1)),
+        (0.5, dict(mode="qat")),
+        (0.5, dict(mode="qat", weight_bits=1)),
+        (None, dict(mode="qat_pow2")),
     ],
     ids=["qat", "qat_1bit", "prune_then_qat", "prune_then_qat_1bit", "qat_pow2"],
 )
-def test_final_accuracy_is_the_snapped_nets_accuracy(kw):
+def test_final_accuracy_is_the_snapped_nets_accuracy(prune_ratio, kw):
     """Only qat_pow2 evaluates again at the end; snapping onto the grids
-    keeps every other run's last-epoch accuracy."""
+    keeps every other run's last-epoch accuracy, also under a prune mask,
+    where the pruned weights are zeroed again after the snap (a 1-bit grid
+    has no zero level)."""
     data = _toy_data(np.random.default_rng(2))
     net = _conv_net(np.random.default_rng(7))
+    masks = None
+    if prune_ratio:
+        pcfg = _cfg(mode="prune", prune_ratio=prune_ratio, epochs=1, lr=1e-3)
+        masks = tr.train(net, data, pcfg).prune_mask
     cfg = _cfg(epochs=1, lr=1e-3, **kw)
-    res = tr.train(net, data, cfg)
+    res = tr.train(net, data, cfg, masks=masks)
+    for layer, keep in zip(net.param_layers, masks or []):
+        assert np.all(layer.W[~keep] == 0.0)
     tap = tr.QuantTap(tr.quant_plan(2, cfg), res.scales)
     acc = tr.evaluate(net, data.test_images, data.test_labels, res.scales.input_scale, tap)
     assert 0.4 < acc < 0.9  # a half-trained run, where grid changes show
@@ -552,6 +602,23 @@ def test_checkpoint_round_trip(tmp_path):
     tap = tr.QuantTap(tr.quant_plan(2, cfg), ck.scales)
     acc = tr.evaluate(ck.net, data.test_images, data.test_labels, ck.scales.input_scale, tap)
     assert acc == res.final_accuracy
+    # a header written before four config keys were removed loads while they
+    # hold their old defaults, and is refused otherwise
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    header = json.loads(bytes(arrays["header"]).decode())
+
+    def save_with(config):
+        header["config"] = config
+        arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+
+    old = dict(header["config"], prune_epochs=8, lr_log_gamma=None, input_scale=None, snap_at_end=True)
+    save_with(old)
+    assert tr.load_checkpoint(path).config == cfg
+    save_with(dict(old, input_scale=1 / 256))
+    with pytest.raises(ValueError, match="config key 'input_scale' was removed"):
+        tr.load_checkpoint(path)
 
 
 def test_snap_to_levels_is_exact():

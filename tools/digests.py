@@ -5,10 +5,11 @@
     python tools/digests.py --root ../other --seeds 1 2 7
 
 One line per digest, "<name> <sha256 prefix>", over:
-- toy training runs (float, qat, qat_pow2, prune, prune_then_qat and their
-  variants, plus a conv qat_pow2 run): the curves, accuracy, histograms and
-  prune-stage files emit_curves writes, the checkpoint's arrays and header,
-  and the console lines;
+- toy training runs (float, qat, qat_pow2, prune, prune then masked qat and
+  their variants, plus a conv qat_pow2 run): the curves, accuracy and
+  histograms files emit_curves writes (of the prune stage too), the
+  checkpoint's arrays, its config and the rest of its header, each on its
+  own, and the console lines;
 - the perfbench train workload's float, qat and prune digests per seed;
 - the perfbench deploy workload per seed: the FXPM bytes, the QZIP archive
   and its decoded model, and the infer, infer_shift and simulate_float
@@ -28,6 +29,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import subprocess
 import sys
 import tempfile
@@ -44,7 +46,8 @@ def sha(*parts):
 
 
 def toy_runs(qf):
-    """(name, run) pairs: each run returns (TrainResult, console text)."""
+    """(name, run) pairs: each run returns (TrainResult, console text, the
+    prune stage's TrainResult or None)."""
     import numpy as np
 
     tr = qf.training
@@ -64,6 +67,8 @@ def toy_runs(qf):
         "conv": [["conv", 1, 2, 3, 1, 0], ["relu"], ["flatten"], ["linear", 72, 4]],
     }
     mask_rng = np.random.default_rng(5)
+    # the third entry is None, "mask" for random masks, or the options of a
+    # prune stage whose mask the run then trains under
     runs = {
         "float": ("fc", dict(mode="float"), None),
         "qat": ("fc", dict(mode="qat"), None),
@@ -74,25 +79,28 @@ def toy_runs(qf):
         "qat_masked": ("conv", dict(mode="qat"), "mask"),
         "prune": ("fc", dict(mode="prune", prune_ratio=0.9), None),
         "prune_ignores_mask": ("fc", dict(mode="prune", prune_ratio=0.5), "mask"),
-        "prune_then_qat": ("fc", dict(mode="prune_then_qat", prune_ratio=0.9, prune_epochs=1), None),
+        "prune_then_qat": ("fc", dict(mode="qat", prune_ratio=0.9), dict(mode="prune", prune_ratio=0.9, epochs=1)),
         "conv_float": ("conv", dict(mode="float"), None),
         "conv_qat": ("conv", dict(mode="qat"), None),
         "conv_qat_pow2": ("conv", dict(mode="qat_pow2"), None),
         "conv_prune_schedule": ("conv", dict(mode="prune", prune_ratio=0.7, lr_schedule=((1, 0.5),)), None),
-        "conv_prune_then_qat": ("conv", dict(mode="prune_then_qat", prune_ratio=0.6, prune_epochs=1), None),
+        "conv_prune_then_qat": ("conv", dict(mode="qat", prune_ratio=0.6), dict(mode="prune", prune_ratio=0.6, epochs=1)),
     }
     out = []
     for name, (spec, options, mask) in runs.items():
         def run(spec=spec, options=options, mask=mask):
             net = qf.models.net_from_spec(specs[spec], rng=np.random.default_rng(9))
-            masks = None
-            if mask:
+            base = dict(epochs=2, batch_size=32, eval_batch=64, hist_every=4, seed=4)
+            masks = stage = None
+            if mask == "mask":
                 masks = [mask_rng.random(l.W.shape) < 0.7 for l in net.param_layers]
-            cfg = tr.TrainConfig(epochs=2, batch_size=32, eval_batch=64, hist_every=4, seed=4, **options)
             text = io.StringIO()
             with contextlib.redirect_stdout(text):
-                res = tr.train(net, data, cfg, masks=masks)
-            return res, text.getvalue()
+                if isinstance(mask, dict):
+                    stage = tr.train(net, data, tr.TrainConfig(**{**base, **mask}))
+                    masks = stage.prune_mask
+                res = tr.train(net, data, tr.TrainConfig(**base, **options), masks=masks)
+            return res, text.getvalue(), stage
         out.append((name, run))
     return out
 
@@ -101,12 +109,12 @@ def toy_digests(qf):
     import numpy as np
 
     for name, run in toy_runs(qf):
-        res, text = run()
+        res, text, stage = run()
         with tempfile.TemporaryDirectory() as d:
             d = Path(d)
             qf.cli.emit_curves(res.log, d)
-            if res.prune_log is not None:
-                qf.cli.emit_curves(res.prune_log, d / "prune_stage")
+            if stage is not None:
+                qf.cli.emit_curves(stage.log, d / "prune_stage")
             meta = {"final_accuracy": res.final_accuracy, "diagnostics": res.diagnostics}
             qf.training.save_checkpoint(d / "checkpoint.npz", res.net, res.scales, res.reg,
                                         res.config, masks=res.prune_mask, meta=meta)
@@ -114,9 +122,15 @@ def toy_digests(qf):
             for p in files:
                 yield f"toy.{name}.{p.relative_to(d).as_posix()}", sha(p.read_bytes())
             # the arrays, not the zip bytes: np.savez stamps each member
-            # with the wall-clock time
+            # with the wall-clock time; the config and the rest of the
+            # header apart, so a change to one shows as only that
             with np.load(d / "checkpoint.npz") as z:
-                yield f"toy.{name}.checkpoint", sha(*[k.encode() + z[k].tobytes() for k in sorted(z.files)])
+                names = sorted(k for k in z.files if k != "header")
+                yield f"toy.{name}.checkpoint.arrays", sha(*[k.encode() + z[k].tobytes() for k in names])
+                header = json.loads(bytes(z["header"]).decode())
+            config = header.pop("config")
+            yield f"toy.{name}.checkpoint.config", sha(json.dumps(config, sort_keys=True).encode())
+            yield f"toy.{name}.checkpoint.header", sha(json.dumps(header, sort_keys=True).encode())
         yield f"toy.{name}.stdout", sha(text.encode())
 
 
